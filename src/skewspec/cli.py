@@ -15,6 +15,7 @@ environment variable, then 1e-8.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -29,12 +30,7 @@ from .products import (
     verify_product_spectrum,
 )
 from .search import find_max_energy_orientation
-from .spectra import (
-    adjacency_spectrum,
-    skew_energy,
-    skew_spectrum,
-    spectrum_energy,
-)
+from .spectra import adjacency_spectrum, skew_energy, spectrum_energy
 from .switching import (
     all_chordless_uniform,
     equivalent_to_elementary,
@@ -48,14 +44,19 @@ DEFAULT_TOL = 1e-8
 
 def _resolve_tol(args) -> float:
     if args.tol is not None:
-        return args.tol
-    env = os.environ.get("SKEWSPEC_TOL")
-    if env is None or env == "":
-        return DEFAULT_TOL
-    try:
-        return float(env)
-    except ValueError:
-        raise SkewspecError(f"SKEWSPEC_TOL={env!r} is not a number") from None
+        tol, source = args.tol, "--tol"
+    else:
+        env = os.environ.get("SKEWSPEC_TOL")
+        if env is None or env == "":
+            return DEFAULT_TOL
+        try:
+            tol = float(env)
+        except ValueError:
+            raise SkewspecError(f"SKEWSPEC_TOL={env!r} is not a number") from None
+        source = "SKEWSPEC_TOL"
+    if not (math.isfinite(tol) and tol >= 0):
+        raise SkewspecError(f"{source} must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 def _load(path: str) -> Graph | OrientedGraph:
@@ -97,13 +98,12 @@ def _cmd_spectrum(args):
         doc["values"] = list(sp.values)
         doc["energy"] = spectrum_energy(sp)
     else:
-        sp = skew_spectrum(obj)
         report = skew_energy(obj)
-        doc["values"] = list(sp.values)
+        doc["values"] = list(report.spectrum.values)
         doc["energy"] = report.energy
         doc["degree"] = report.degree
         doc["bound"] = report.bound
-        doc["maximum"] = report.is_maximum
+        doc["maximum"] = report.exact_certificate
         doc["certificate"] = report.exact_certificate
     return doc, 0
 
@@ -170,13 +170,13 @@ def _cmd_family(args):
         "degree": og.graph.regular_degree(),
         "energy": report.energy,
         "bound": report.bound,
-        "maximum": report.is_maximum,
+        "maximum": report.exact_certificate,
         "certificate": report.exact_certificate,
     }
     consistent = (
         og.n == result.order
         and og.graph.regular_degree() == result.degree
-        and report.is_maximum
+        and report.exact_certificate
     )
     return doc, 0 if consistent else 3
 

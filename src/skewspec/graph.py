@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -81,9 +81,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self._adjacency)
 
@@ -92,7 +89,7 @@ class Graph:
 
     def edge_index(self, u: int, v: int) -> int:
         """Position of the edge {u, v} in the canonical edge list."""
-        return self._edge_index[(min(u, v), max(u, v))]
+        return self._edge_index[(u, v) if u < v else (v, u)]
 
     def regular_degree(self) -> int | None:
         """The common degree if the graph is regular, else ``None``."""
@@ -144,10 +141,6 @@ class OrientedGraph:
     def reverse(self) -> "OrientedGraph":
         """Reverse every arc."""
         return OrientedGraph(self.graph, tuple(1 - b for b in self.direction))
-
-
-def orient(g: Graph, direction: Iterable[int]) -> OrientedGraph:
-    return OrientedGraph(g, tuple(direction))
 
 
 def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> OrientedGraph:
@@ -209,12 +202,20 @@ class Bipartition:
         return all(self.side[u] != self.side[v] for u, v in g.edges)
 
 
-def bipartition(g: Graph) -> Bipartition:
-    """Canonical two-coloring by breadth-first search per component.
+def parity_coloring(
+    g: Graph, parity: Sequence[int]
+) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+    """Two-color ``g`` so that colors differ exactly across parity-1 edges.
 
-    The minimum-index vertex of each component gets label X, so the result
-    is a deterministic function of the graph.  Raises
-    :class:`NotBipartiteError` with an odd-cycle witness otherwise.
+    ``parity`` holds one 0/1 entry per edge in canonical edge order.  A
+    breadth-first spanning forest forces the colors, with color 0 on the
+    minimum-index vertex of each component, and every other edge is
+    checked against them.  Returns ``(side, None)`` when every edge
+    agrees.  Otherwise returns ``(None, cycle)`` for the first edge
+    {u, w} that disagrees: the tree paths from u and w to their lowest
+    common ancestor joined by that edge, a cycle with odd parity sum.
+    All-ones parity tests bipartiteness; the edges where two
+    orientations disagree test switching equivalence.
     """
     side = [-1] * g.n
     parent = [-1] * g.n
@@ -222,30 +223,27 @@ def bipartition(g: Graph) -> Bipartition:
     for root in range(g.n):
         if side[root] != -1:
             continue
-        side[root] = X
+        side[root] = 0
         queue = [root]
         while queue:
             nxt = []
             for u in queue:
                 for w in g.neighbors(u):
+                    p = parity[g.edge_index(u, w)]
                     if side[w] == -1:
-                        side[w] = side[u] ^ 1
+                        side[w] = side[u] ^ p
                         parent[w] = u
                         depth[w] = depth[u] + 1
                         nxt.append(w)
-                    elif side[w] == side[u]:
-                        cycle = _odd_cycle_witness(u, w, parent, depth)
-                        raise NotBipartiteError(
-                            f"graph is not bipartite: odd cycle {cycle}",
-                            odd_cycle=cycle,
-                        )
+                    elif side[u] ^ side[w] != p:
+                        return None, _tree_cycle(u, w, parent, depth)
             queue = nxt
-    return Bipartition(tuple(side))
+    return tuple(side), None
 
 
-def _odd_cycle_witness(u, w, parent, depth):
-    # Walk both endpoints of the conflicting edge up to their lowest
-    # common ancestor; the two tree paths plus the edge form an odd cycle.
+def _tree_cycle(u, w, parent, depth):
+    # Walk both endpoints of the offending edge up to their lowest common
+    # ancestor (u != w since the graph is simple).
     pu, pw = [u], [w]
     a, b = u, w
     while depth[a] > depth[b]:
@@ -261,6 +259,21 @@ def _odd_cycle_witness(u, w, parent, depth):
         pw.append(b)
     # pu ends at the common ancestor; pw's copy of it is dropped.
     return tuple(pu + pw[-2::-1])
+
+
+def bipartition(g: Graph) -> Bipartition:
+    """Canonical two-coloring by breadth-first search per component.
+
+    The minimum-index vertex of each component gets label X, so the result
+    is a deterministic function of the graph.  Raises
+    :class:`NotBipartiteError` with an odd-cycle witness otherwise.
+    """
+    side, cycle = parity_coloring(g, (1,) * g.m)
+    if side is None:
+        raise NotBipartiteError(
+            f"graph is not bipartite: odd cycle {cycle}", odd_cycle=cycle
+        )
+    return Bipartition(side)
 
 
 def elementary_orientation(g: Graph, b: Bipartition | None = None) -> OrientedGraph:

@@ -24,7 +24,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotBipartiteError
-from .graph import X, Graph, OrientedGraph, bipartition, build_graph, skew_adjacency
+from .graph import (
+    X,
+    Graph,
+    OrientedGraph,
+    bipartition,
+    build_graph,
+    from_arcs,
+    skew_adjacency,
+)
 from .spectra import (
     Spectrum,
     _paired_spectrum,
@@ -105,22 +113,18 @@ def oriented_product(ht: OrientedGraph, gs: OrientedGraph) -> OrientedGraph:
     h, g = ht.graph, gs.graph
     b = bipartition(h)
     order = product_vertex_order(h, g)
-    product = cartesian_product(h, g)
-    bits = [0] * product.m
+    g_arcs = gs.arcs()
+    arcs = []
     for u in range(h.n):
         flip = b.side[u] != X
-        for i in range(g.m):
-            t, head = gs.arc(i)
+        for t, head in g_arcs:
             if flip:
                 t, head = head, t
-            pt, ph = order.index(u, t), order.index(u, head)
-            bits[product.edge_index(pt, ph)] = 1 if pt > ph else 0
-    for i in range(h.m):
-        t, head = ht.arc(i)
+            arcs.append((order.index(u, t), order.index(u, head)))
+    for t, head in ht.arcs():
         for v in range(g.n):
-            pt, ph = order.index(t, v), order.index(head, v)
-            bits[product.edge_index(pt, ph)] = 1 if pt > ph else 0
-    return OrientedGraph(product, tuple(bits))
+            arcs.append((order.index(t, v), order.index(head, v)))
+    return from_arcs(h.n * g.n, arcs)
 
 
 def product_skew_kronecker(ht: OrientedGraph, gs: OrientedGraph) -> np.ndarray:

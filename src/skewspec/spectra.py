@@ -155,18 +155,19 @@ def graph_energy(g: Graph) -> float:
 class EnergyReport:
     """Skew energy of an orientation against the regular-degree bound.
 
+    ``spectrum`` is the skew spectrum the energy was summed from.
     ``bound`` is n * sqrt(degree), the ceiling for k-regular graphs.
     ``exact_certificate`` records the outcome of the integer test
-    S S^T == degree * I; ``is_maximum`` holds exactly when that
-    certificate does.  For a non-regular graph ``degree`` and ``bound``
-    are None and both flags are False (no bound applies, so the test is
-    skipped rather than failed).
+    S S^T == degree * I, which holds exactly when the energy meets the
+    bound.  For a non-regular graph ``degree`` and ``bound`` are None and
+    the certificate is False (no bound applies, so the test is skipped
+    rather than failed).
     """
 
+    spectrum: Spectrum
     energy: float
     degree: int | None
     bound: float | None
-    is_maximum: bool
     exact_certificate: bool
 
 
@@ -185,22 +186,13 @@ def is_gram_scalar(og: OrientedGraph, k: int | None = None) -> bool:
 
 
 def skew_energy(og: OrientedGraph) -> EnergyReport:
-    """Skew energy plus the exact maximality certificate."""
-    energy = spectrum_energy(skew_spectrum(og))
+    """Skew spectrum and energy plus the exact maximality certificate."""
+    sp = skew_spectrum(og)
     k = og.graph.regular_degree()
-    if k is None:
-        return EnergyReport(
-            energy=energy,
-            degree=None,
-            bound=None,
-            is_maximum=False,
-            exact_certificate=False,
-        )
-    certified = is_gram_scalar(og, k)
     return EnergyReport(
-        energy=energy,
+        spectrum=sp,
+        energy=spectrum_energy(sp),
         degree=k,
-        bound=og.n * float(np.sqrt(k)),
-        is_maximum=certified,
-        exact_certificate=certified,
+        bound=None if k is None else og.n * float(np.sqrt(k)),
+        exact_certificate=k is not None and is_gram_scalar(og, k),
     )

@@ -25,7 +25,13 @@ from .errors import (
     OddCycleError,
     VertexOutOfRangeError,
 )
-from .graph import Graph, OrientedGraph, bipartition, elementary_orientation
+from .graph import (
+    Graph,
+    OrientedGraph,
+    bipartition,
+    elementary_orientation,
+    parity_coloring,
+)
 from .spectra import adjacency_spectrum, skew_spectrum, spectra_equal
 
 #: Default ceiling on the number of chordless cycles enumerated.
@@ -100,54 +106,11 @@ def switching_equivalent(
     """
     if a.graph != b.graph:
         raise GraphMismatchError("orientations have different underlying graphs")
-    g = a.graph
     diff = [x ^ y for x, y in zip(a.direction, b.direction)]
-
-    # Color s(v) in {0, 1} so that s(u) xor s(v) = diff on every edge.
-    # BFS a spanning forest to force the colors, then check non-tree edges.
-    side = [-1] * g.n
-    parent = [-1] * g.n
-    depth = [0] * g.n
-    for root in range(g.n):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in g.neighbors(u):
-                    d = diff[g.edge_index(u, v)]
-                    if side[v] == -1:
-                        side[v] = side[u] ^ d
-                        parent[v] = u
-                        depth[v] = depth[u] + 1
-                        nxt.append(v)
-                    elif side[u] ^ side[v] != d:
-                        return NotEquivalent(
-                            CycleWalk(_tree_cycle(u, v, parent, depth))
-                        )
-            queue = nxt
-    return SwitchWitness(tuple(v for v in range(g.n) if side[v] == 1))
-
-
-def _tree_cycle(u, v, parent, depth):
-    # Tree paths from u and v to their lowest common ancestor, joined with
-    # the edge {u, v}, form a cycle (u != v since the graph is simple).
-    pu, pv = [u], [v]
-    x, y = u, v
-    while depth[x] > depth[y]:
-        x = parent[x]
-        pu.append(x)
-    while depth[y] > depth[x]:
-        y = parent[y]
-        pv.append(y)
-    while x != y:
-        x = parent[x]
-        y = parent[y]
-        pu.append(x)
-        pv.append(y)
-    return tuple(pu + pv[-2::-1])
+    side, cycle = parity_coloring(a.graph, diff)
+    if side is None:
+        return NotEquivalent(CycleWalk(cycle))
+    return SwitchWitness(tuple(v for v, s in enumerate(side) if s))
 
 
 def chordless_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleWalk]:

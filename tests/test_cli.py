@@ -132,6 +132,23 @@ class TestToleranceResolution:
         assert code == 2
         assert "SKEWSPEC_TOL" in err
 
+    @pytest.mark.parametrize(
+        "env, flag",
+        [(None, "nan"), (None, "inf"), (None, "-1"), ("nan", None)],
+        ids=["flag-nan", "flag-inf", "flag-negative", "env-nan"],
+    )
+    def test_non_finite_or_negative_is_an_input_error(
+        self, capsys, monkeypatch, env, flag
+    ):
+        if env is None:
+            monkeypatch.delenv("SKEWSPEC_TOL", raising=False)
+        else:
+            monkeypatch.setenv("SKEWSPEC_TOL", env)
+        argv = ["check", C4_ELEM] + (["--tol", flag] if flag else [])
+        code, doc, err = invoke(capsys, *argv)
+        assert code == 2 and doc is None
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestTiming:
     def test_flag_appends_seconds(self, capsys):

@@ -131,7 +131,7 @@ class TestEnergy:
     def test_p2_energy(self):
         rep = skew_energy(from_arcs(2, [(0, 1)]))
         assert rep.energy == pytest.approx(2.0)
-        assert rep.degree == 1 and rep.is_maximum and rep.exact_certificate
+        assert rep.degree == 1 and rep.exact_certificate
 
     def test_c4_odd_is_maximum(self):
         og = from_arcs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -139,18 +139,18 @@ class TestEnergy:
         assert rep.energy == pytest.approx(4 * math.sqrt(2))
         assert rep.degree == 2
         assert rep.bound == pytest.approx(4 * math.sqrt(2))
-        assert rep.is_maximum and rep.exact_certificate
+        assert rep.exact_certificate
 
     def test_elementary_k44_not_maximum(self):
         rep = skew_energy(elementary_orientation(complete_bipartite(4, 4)))
-        assert not rep.is_maximum and not rep.exact_certificate
+        assert not rep.exact_certificate
         assert rep.energy == pytest.approx(8.0)
         assert rep.bound == pytest.approx(16.0)
 
     def test_non_regular_reports_no_bound(self):
         rep = skew_energy(from_arcs(3, [(0, 1), (1, 2)]))
         assert rep.degree is None and rep.bound is None
-        assert not rep.is_maximum and not rep.exact_certificate
+        assert not rep.exact_certificate
 
     def test_graph_energy(self):
         assert graph_energy(path(2)) == pytest.approx(2.0)
@@ -160,8 +160,9 @@ class TestEnergy:
     @given(oriented_graphs(max_n=7))
     def test_maximum_iff_all_magnitudes_sqrt_k(self, og):
         rep = skew_energy(og)
+        assert rep.spectrum == skew_spectrum(og)
         k = og.graph.regular_degree()
-        if rep.is_maximum:
+        if rep.exact_certificate:
             assert k is not None
             assert all(
                 abs(abs(v) - math.sqrt(k)) < 1e-8 for v in skew_spectrum(og).values

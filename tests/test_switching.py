@@ -15,6 +15,7 @@ from skewspec import (
     SwitchWitness,
     VertexOutOfRangeError,
     all_chordless_uniform,
+    bipartition,
     build_graph,
     chordless_cycles,
     complete,
@@ -158,9 +159,16 @@ class TestSwitchingEquivalent:
 
     @given(oriented_graphs(max_n=7))
     def test_witness_avoids_component_minima(self, og):
+        # Reversal disagrees on every edge, the all-ones parity that
+        # bipartition colors with, so both must give the same answer.
         res = switching_equivalent(og, og.reverse())
         if isinstance(res, SwitchWitness):
             assert 0 not in res.w
+            assert res.w == bipartition(og.graph).y_vertices
+        else:
+            with pytest.raises(NotBipartiteError) as exc:
+                bipartition(og.graph)
+            assert res.violating_cycle.vertices == exc.value.odd_cycle
 
 
 class TestChordlessCycles:
