@@ -8,8 +8,9 @@ Exit codes: 0 success (or a true verdict), 1 a clean false verdict,
 2 input error, 3 internal inconsistency (cross-checked results that must
 agree came out differently).
 
-The comparison tolerance resolves as: --tol flag, then the SKEWSPEC_TOL
-environment variable, then 1e-8.
+``check`` and ``product --verify`` compare spectra; their tolerance
+resolves as: --tol flag, then the SKEWSPEC_TOL environment variable,
+then 1e-8.
 """
 
 from __future__ import annotations
@@ -250,15 +251,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
+        "--timing",
+        action="store_true",
+        help="append wall-clock seconds to the report",
+    )
+    # Only the subcommands that compare spectra take a tolerance.
+    tolerant = argparse.ArgumentParser(add_help=False, parents=[common])
+    tolerant.add_argument(
         "--tol",
         type=float,
         default=None,
         help="comparison tolerance (default: SKEWSPEC_TOL or 1e-8)",
-    )
-    common.add_argument(
-        "--timing",
-        action="store_true",
-        help="append wall-clock seconds to the report",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -277,14 +280,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        parents=[common],
+        parents=[tolerant],
         help="cross-check the three equivalent orientation predicates",
     )
     p.add_argument("file")
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser(
-        "product", parents=[common], help="oriented Cartesian product of two files"
+        "product", parents=[tolerant], help="oriented Cartesian product of two files"
     )
     p.add_argument("file_h", help="left factor (oriented, bipartite)")
     p.add_argument("file_g", help="right factor (oriented)")

@@ -35,18 +35,13 @@ K4_SEED_DIRECTION = (0, 0, 0, 0, 1, 0)
 C4_SEED_DIRECTION = (0, 0, 0, 0)
 P2_SEED_DIRECTION = (0,)
 
-_BASES: dict[str, tuple[Callable[[], Graph], tuple[int, ...]]] = {
-    "k44": (lambda: complete_bipartite(4, 4), K44_SEED_DIRECTION),
-    "k4": (lambda: complete(4), K4_SEED_DIRECTION),
-    "c4": (lambda: cycle(4), C4_SEED_DIRECTION),
-    "p2": (lambda: path(2), P2_SEED_DIRECTION),
-}
-
-_CLOSED_FORMS: dict[str, Callable[[int], tuple[int, int]]] = {
-    "k44": lambda r: (2 ** (3 * r), 4 * r),
-    "k4": lambda r: (2 ** (3 * r - 1), 4 * r - 1),
-    "c4": lambda r: (2 ** (3 * r - 1), 4 * r - 2),
-    "p2": lambda r: (2 ** (3 * r - 2), 4 * r - 3),
+# Per base: the seed graph, its frozen direction, and the shifts (a, b) in
+# the closed form order 2**(3r - a), degree 4r - b of the depth-r member.
+_BASES: dict[str, tuple[Callable[[], Graph], tuple[int, ...], int, int]] = {
+    "k44": (lambda: complete_bipartite(4, 4), K44_SEED_DIRECTION, 0, 0),
+    "k4": (lambda: complete(4), K4_SEED_DIRECTION, 1, 1),
+    "c4": (lambda: cycle(4), C4_SEED_DIRECTION, 1, 2),
+    "p2": (lambda: path(2), P2_SEED_DIRECTION, 2, 3),
 }
 
 BASE_NAMES = tuple(sorted(_BASES))
@@ -77,13 +72,8 @@ class FamilyResult:
 
 def seed_orientation(base: str) -> OrientedGraph:
     """The frozen maximum-energy orientation of a seed graph."""
-    make, direction = _BASES[base]
+    make, direction, _, _ = _BASES[base]
     return OrientedGraph(make(), direction)
-
-
-def claimed_order_degree(base: str, r: int) -> tuple[int, int]:
-    """Closed-form (order, degree) of the family member at depth r."""
-    return _CLOSED_FORMS[base](r)
 
 
 def generate_family(spec: FamilySpec) -> FamilyResult:
@@ -92,7 +82,8 @@ def generate_family(spec: FamilySpec) -> FamilyResult:
     Raises :class:`BudgetExceededError` when the closed-form order would
     exceed :data:`ORDER_CAP`.
     """
-    order, degree = claimed_order_degree(spec.base, spec.r)
+    _, _, a, b = _BASES[spec.base]
+    order, degree = 2 ** (3 * spec.r - a), 4 * spec.r - b
     if order > ORDER_CAP:
         raise BudgetExceededError(
             f"family member has order {order}, over the cap of {ORDER_CAP}"

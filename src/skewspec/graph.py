@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, KeysView, Sequence
 
 import numpy as np
 
@@ -67,29 +67,28 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+    def _incidence(self) -> dict[int, dict[int, int]]:
+        # {vertex: {neighbour: edge position}}.  Edges (a, x) with a < x
+        # sort before edges (x, b), so each inner dict fills in ascending
+        # neighbour order.
+        inc: dict[int, dict[int, int]] = {v: {} for v in range(self.n)}
+        for i, (u, v) in enumerate(self.edges):
+            inc[u][v] = inc[v][u] = i
+        return inc
 
-    @cached_property
-    def _edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adjacency[v]
+    def neighbors(self, v: int) -> KeysView[int]:
+        """Read-only ascending view of the neighbours of ``v``."""
+        return self._incidence[v].keys()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self._adjacency)
+        return tuple(len(a) for a in self._incidence.values())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_index
+        return v in self._incidence.get(u, ())
 
     def edge_index(self, u: int, v: int) -> int:
         """Position of the edge {u, v} in the canonical edge list."""
-        return self._edge_index[(u, v) if u < v else (v, u)]
+        return self._incidence[u][v]
 
     def regular_degree(self) -> int | None:
         """The common degree if the graph is regular, else ``None``."""
@@ -228,8 +227,8 @@ def parity_coloring(
         while queue:
             nxt = []
             for u in queue:
-                for w in g.neighbors(u):
-                    p = parity[g.edge_index(u, w)]
+                for w, i in g._incidence[u].items():
+                    p = parity[i]
                     if side[w] == -1:
                         side[w] = side[u] ^ p
                         parent[w] = u

@@ -14,6 +14,7 @@ significant digits, so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import ParseError
 from .graph import Graph, OrientedGraph, build_graph, from_arcs
@@ -97,6 +98,8 @@ def serialize_graph(obj: Graph | OrientedGraph) -> str:
 
 def format_real(v: float) -> str:
     """12-significant-digit decimal form, with -0 normalized to 0."""
+    if not math.isfinite(v):
+        raise ValueError(f"JSON has no form for the non-finite number {v!r}")
     if v == 0.0:
         v = 0.0
     return format(float(v), ".12g")

@@ -35,7 +35,7 @@ from .graph import (
 )
 from .spectra import (
     Spectrum,
-    _paired_spectrum,
+    paired_spectrum,
     require_antisymmetric,
     skew_spectrum,
     spectra_equal,
@@ -171,7 +171,7 @@ def predicted_product_spectrum(sp_h: Spectrum, sp_g: Spectrum) -> Spectrum:
         (math.sqrt(mu * mu + lam * lam) for mu in sp_h for lam in sp_g),
         reverse=True,
     )
-    return _paired_spectrum(mags, len(sp_h) * len(sp_g))
+    return paired_spectrum(mags, len(sp_h) * len(sp_g))
 
 
 def verify_product_spectrum(

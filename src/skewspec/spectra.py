@@ -88,7 +88,7 @@ def skew_gram(og: OrientedGraph) -> np.ndarray:
     n = og.n
     gram = np.zeros((n, n), dtype=np.int64)
     for t in range(n):
-        nbrs = np.asarray(og.graph.neighbors(t), dtype=np.intp)
+        nbrs = np.fromiter(og.graph.neighbors(t), dtype=np.intp)
         if nbrs.size == 0:
             continue
         col = s[nbrs, t]
@@ -96,7 +96,7 @@ def skew_gram(og: OrientedGraph) -> np.ndarray:
     return gram
 
 
-def _paired_spectrum(mags_desc, total: int) -> Spectrum:
+def paired_spectrum(mags_desc, total: int) -> Spectrum:
     # mags_desc holds `total` nonnegative magnitudes sorted descending,
     # every nonzero value with exact even multiplicity.  Average each
     # adjacent pair so the emitted +/- values match to the bit; negate
@@ -125,7 +125,7 @@ def skew_spectrum(og: OrientedGraph) -> Spectrum:
     floor = 64.0 * np.finfo(np.float64).eps * n * max(float(sq[-1]), 1.0)
     sq = np.where(sq > floor, sq, 0.0)
     mags = np.sqrt(sq)[::-1]
-    return _paired_spectrum(mags, n)
+    return paired_spectrum(mags, n)
 
 
 def spectra_equal(a: Spectrum, b: Spectrum, tol: float = 1e-8) -> bool:

@@ -125,16 +125,16 @@ def chordless_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleWalk]:
     ``cap`` cycles exist.
     """
     out: list[CycleWalk] = []
-    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    adj = [g.neighbors(v) for v in range(g.n)]
 
     def extend(path: list[int], in_path: set[int]) -> None:
         u0, u1, last = path[0], path[1], path[-1]
-        for w in g.neighbors(last):
+        for w in adj[last]:
             if w <= u0 or w in in_path:
                 continue
             # A chord from w to any interior vertex kills both closing
             # and extending through w.
-            if any(p in adj[w] for p in path[1:-1]):
+            if not adj[w].isdisjoint(path[1:-1]):
                 continue
             if u0 in adj[w]:
                 if w > u1:
@@ -151,7 +151,7 @@ def chordless_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleWalk]:
             path.pop()
 
     for u0 in range(g.n):
-        for u1 in g.neighbors(u0):
+        for u1 in adj[u0]:
             if u1 > u0:
                 extend([u0, u1], {u0, u1})
     return out

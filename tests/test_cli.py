@@ -149,6 +149,11 @@ class TestToleranceResolution:
         assert code == 2 and doc is None
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_tol_only_on_subcommands_that_compare_spectra(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["spectrum", "--tol", "1e-6", P2])
+        assert exc.value.code == 2
+
 
 class TestTiming:
     def test_flag_appends_seconds(self, capsys):

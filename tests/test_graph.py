@@ -61,6 +61,28 @@ class TestBuildGraph:
         assert g.has_edge(2, 1) and not g.has_edge(0, 2)
         assert g.edge_index(2, 1) == g.edge_index(1, 2)
 
+    @given(graphs())
+    def test_lookups_agree_with_edge_list(self, g):
+        for v in range(g.n):
+            nbrs = sorted(w for e in g.edges if v in e for w in e if w != v)
+            assert tuple(g.neighbors(v)) == tuple(nbrs)
+            assert g.degrees()[v] == len(nbrs)
+        for i, (u, v) in enumerate(g.edges):
+            assert g.edge_index(u, v) == g.edge_index(v, u) == i
+            assert g.has_edge(u, v) and g.has_edge(v, u)
+        for u in range(-1, g.n + 1):
+            for v in range(-1, g.n + 1):
+                expected = (min(u, v), max(u, v)) in g.edges
+                assert g.has_edge(u, v) == expected
+
+    def test_out_of_range_vertex_lookup(self):
+        g = cycle(4)
+        with pytest.raises(KeyError):
+            g.neighbors(-1)
+        with pytest.raises(KeyError):
+            g.edge_index(-1, 0)
+        assert not g.has_edge(-1, 3) and not g.has_edge(0, 4)
+
     def test_regular_degree(self):
         assert cycle(5).regular_degree() == 2
         assert path(3).regular_degree() is None

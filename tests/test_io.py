@@ -129,3 +129,8 @@ class TestRenderReport:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             render_report({"x": object()})
+
+    @pytest.mark.parametrize("v", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_floats(self, v):
+        with pytest.raises(ValueError):
+            render_report({"x": v})
