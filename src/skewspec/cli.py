@@ -84,6 +84,11 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _spectrum_route(report) -> str:
+    # skew_energy solves nothing when the exact certificate holds.
+    return "certificate" if report.exact_certificate else "dense"
+
+
 def _cmd_spectrum(args):
     obj = _load(args.file)
     oriented = isinstance(obj, OrientedGraph)
@@ -106,6 +111,8 @@ def _cmd_spectrum(args):
         doc["bound"] = report.bound
         doc["maximum"] = report.exact_certificate
         doc["certificate"] = report.exact_certificate
+        if args.timing:
+            doc["spectrum_route"] = _spectrum_route(report)
     return doc, 0
 
 
@@ -136,6 +143,8 @@ def _cmd_check(args):
 
 
 def _cmd_product(args):
+    if args.tol is not None and not args.verify:
+        raise SkewspecError("--tol applies only with --verify")
     ht = _load_oriented(args.file_h, "product")
     gs = _load_oriented(args.file_g, "product")
     product = oriented_product(ht, gs)
@@ -174,6 +183,8 @@ def _cmd_family(args):
         "maximum": report.exact_certificate,
         "certificate": report.exact_certificate,
     }
+    if args.timing:
+        doc["spectrum_route"] = _spectrum_route(report)
     consistent = (
         og.n == result.order
         and og.graph.regular_degree() == result.degree
@@ -253,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--timing",
         action="store_true",
-        help="append wall-clock seconds to the report",
+        help="append wall-clock seconds (and, for skew spectra, the route "
+        "that computed them) to the report",
     )
     # Only the subcommands that compare spectra take a tolerance.
     tolerant = argparse.ArgumentParser(add_help=False, parents=[common])

@@ -21,11 +21,8 @@ from typing import Callable
 
 from .catalog import complete, complete_bipartite, cycle, path
 from .errors import BudgetExceededError
-from .graph import Graph, OrientedGraph
+from .graph import ORDER_CAP, Graph, OrientedGraph
 from .products import oriented_product
-
-#: Largest family member order generated by default.
-ORDER_CAP = 4096
 
 # Frozen outputs of find_max_energy_orientation on each seed graph: the
 # lexicographically first direction vector with S S^T = k I, first bit 0.

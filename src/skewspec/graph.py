@@ -19,6 +19,7 @@ from typing import Iterable, KeysView, Sequence
 import numpy as np
 
 from .errors import (
+    BudgetExceededError,
     DuplicateEdgeError,
     InvalidBipartitionError,
     NotBipartiteError,
@@ -28,6 +29,9 @@ from .errors import (
 
 #: Bipartition side labels.
 X, Y = 0, 1
+
+#: Largest order for which a dense n x n matrix is built.
+ORDER_CAP = 4096
 
 
 def _normalize_edges(n: int, edges: Iterable) -> tuple[tuple[int, int], ...]:
@@ -152,8 +156,20 @@ def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> OrientedGraph:
     return OrientedGraph(g, tuple(bits))
 
 
+def _require_dense_order(n: int) -> None:
+    if n > ORDER_CAP:
+        raise BudgetExceededError(
+            f"a dense matrix of order {n} is over the cap of {ORDER_CAP}"
+        )
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Symmetric 0/1 adjacency matrix as exact int64."""
+    """Symmetric 0/1 adjacency matrix as exact int64.
+
+    Raises :class:`BudgetExceededError` when the order exceeds
+    :data:`ORDER_CAP`, before anything is allocated.
+    """
+    _require_dense_order(g.n)
     a = np.zeros((g.n, g.n), dtype=np.int64)
     for u, v in g.edges:
         a[u, v] = 1
@@ -162,7 +178,12 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def skew_adjacency(og: OrientedGraph) -> np.ndarray:
-    """Skew-symmetric matrix S with S[t, h] = 1 for each arc t -> h."""
+    """Skew-symmetric matrix S with S[t, h] = 1 for each arc t -> h.
+
+    Raises :class:`BudgetExceededError` when the order exceeds
+    :data:`ORDER_CAP`, before anything is allocated.
+    """
+    _require_dense_order(og.n)
     s = np.zeros((og.n, og.n), dtype=np.int64)
     for i in range(og.graph.m):
         t, h = og.arc(i)

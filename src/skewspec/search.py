@@ -45,10 +45,6 @@ class SearchResult:
         return self.orientation is not None
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchResult:
     """First orientation of a regular graph with S S^T = k I, if any.
 
@@ -84,45 +80,46 @@ def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchRe
                 f = (1 if i < t else -1) * (1 if j < t else -1)
                 terms_by_edge[max(e1, e2)].append((p, min(e1, e2), f))
 
+    # Depth-first over edges with an explicit stack: applied[e] holds the
+    # (pair, summand) updates made by edge e's current bit, so that any
+    # depth is reachable without recursion.  Edge 0 only ever takes bit 0.
     sums = [0] * pair_count
     bits = [0] * m
+    applied: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     states = 0
-
-    def assign(e: int, b: int) -> bool:
-        nonlocal states
+    e, b = 0, 0
+    while True:
         if budget is not None and states >= budget:
-            raise _BudgetHit
+            return SearchResult(None, states, exhausted=False)
         states += 1
         bits[e] = b
         x = 1 - 2 * b
-        applied = []
+        app = applied[e] = []
         alive = True
         for p, other, f in terms_by_edge[e]:
             v = f * x * (1 - 2 * bits[other])
             sums[p] += v
             pending[p] -= 1
-            applied.append((p, v))
+            app.append((p, v))
             if abs(sums[p]) > pending[p]:
                 alive = False
                 break
-        if alive and (e + 1 == m or dfs(e + 1)):
-            return True
-        for p, v in applied:
-            sums[p] -= v
-            pending[p] += 1
-        return False
-
-    def dfs(e: int) -> bool:
-        if assign(e, 0):
-            return True
-        return e > 0 and assign(e, 1)
-
-    try:
-        found = dfs(0)
-    except _BudgetHit:
-        return SearchResult(None, states, exhausted=False)
-    if not found:
-        return SearchResult(None, states, exhausted=True)
+        if alive:
+            if e + 1 == m:
+                break
+            e, b = e + 1, 0
+            continue
+        # Undo edge e, then back up past every edge whose bits are spent.
+        while True:
+            for p, v in applied[e]:
+                sums[p] -= v
+                pending[p] += 1
+            if bits[e] == 0 and e > 0:
+                b = 1
+                break
+            e -= 1
+            if e < 0:
+                return SearchResult(None, states, exhausted=True)
     og = OrientedGraph(g, tuple(bits))
     if not is_gram_scalar(og, k):
         raise AssertionError("search invariant violated: candidate fails k I test")

@@ -8,6 +8,14 @@ count is odd).  Exactness of the pairing is enforced structurally, not by
 rounding: the eigenvalues of the symmetric positive semidefinite matrix
 S S^T are the squared magnitudes, each nonzero one with even multiplicity,
 so adjacent square roots are averaged into one magnitude per +/- pair.
+
+Skew energy is certificate first.  The exact integer test S S^T = k I
+(:func:`is_gram_scalar`) runs before any eigensolve, on the nonzero
+entries of S alone, with no n x n array.  When it holds, the spectrum is
++/-sqrt(k) with multiplicity n/2 each and the energy is the n * sqrt(k)
+bound, so nothing is solved.  Only an uncertified orientation goes to the
+dense route, :func:`skew_spectrum` on :func:`skew_gram`, which stays the
+independent cross-check in the tests.
 """
 
 from __future__ import annotations
@@ -172,27 +180,59 @@ class EnergyReport:
 
 
 def is_gram_scalar(og: OrientedGraph, k: int | None = None) -> bool:
-    """Exact integer test of S S^T == k I.
+    """Exact integer test of S S^T == k I, with no n x n array.
 
     When ``k`` is omitted the graph must be regular (the diagonal of
     S S^T is the degree sequence, so no other k can work); a non-regular
-    graph then raises :class:`NotRegularError`.
+    graph then raises :class:`NotRegularError`.  A degree other than
+    ``k`` fails at once.  Otherwise each column t of S holds k signed
+    entries, one per neighbour, and contributes S[i, t] * S[j, t] to the
+    off-diagonal entry (i, j) for each pair of them: n * k(k-1)/2 keyed
+    +/-1 terms in all, sorted by key and summed in int64.  The test holds
+    exactly when every sum is 0.
     """
     if k is None:
         k = og.graph.regular_degree()
         if k is None:
             raise NotRegularError("graph is not regular")
-    return np.array_equal(skew_gram(og), k * np.eye(og.n, dtype=np.int64))
+    if any(d != k for d in og.graph.degrees()):
+        return False
+    n = og.n
+    if n == 0 or k < 2:
+        return True  # no column of S holds two entries
+    ends = np.array(og.graph.edges, dtype=np.int64)
+    # S[u, v] for each canonical edge (u, v); S[v, u] is its negation.
+    sign = 1 - 2 * np.array(og.direction, dtype=np.int64)
+    rows = np.concatenate((ends[:, 0], ends[:, 1]))
+    cols = np.concatenate((ends[:, 1], ends[:, 0]))
+    vals = np.concatenate((sign, -sign))
+    by_col = np.lexsort((rows, cols))
+    rows = rows[by_col].reshape(n, k)
+    vals = vals[by_col].reshape(n, k)
+    a, b = np.triu_indices(k, 1)
+    keys = (rows[:, a] * n + rows[:, b]).ravel()
+    terms = (vals[:, a] * vals[:, b]).ravel()
+    by_key = np.argsort(keys)
+    keys, terms = keys[by_key], terms[by_key]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return not np.add.reduceat(terms, starts).any()
 
 
 def skew_energy(og: OrientedGraph) -> EnergyReport:
-    """Skew spectrum and energy plus the exact maximality certificate."""
-    sp = skew_spectrum(og)
+    """Skew spectrum and energy plus the exact maximality certificate.
+
+    The certificate runs first.  A certified orientation gets the
+    spectrum +/-sqrt(k) and the energy n * sqrt(k) with no eigensolve;
+    any other orientation gets the dense :func:`skew_spectrum`.
+    """
     k = og.graph.regular_degree()
+    certified = k is not None and is_gram_scalar(og, k)
+    root = None if k is None else float(np.sqrt(k))
+    sp = paired_spectrum([root] * og.n, og.n) if certified else skew_spectrum(og)
     return EnergyReport(
         spectrum=sp,
         energy=spectrum_energy(sp),
         degree=k,
-        bound=None if k is None else og.n * float(np.sqrt(k)),
-        exact_certificate=k is not None and is_gram_scalar(og, k),
+        bound=None if k is None else og.n * root,
+        exact_certificate=certified,
     )

@@ -165,6 +165,19 @@ class TestTiming:
         _, doc, _ = invoke(capsys, "spectrum", P2)
         assert "timing_seconds" not in doc
 
+    def test_flag_names_the_spectrum_route(self, capsys, tmp_path):
+        _, doc, _ = invoke(capsys, "spectrum", "--timing", C4_ODD)
+        assert doc["spectrum_route"] == "certificate"
+        _, doc, _ = invoke(capsys, "spectrum", "--timing", C4_ELEM)
+        assert doc["spectrum_route"] == "dense"
+        _, doc, _ = invoke(
+            capsys, "family", str(tmp_path / "f.og"), "--base", "k4", "--r", "2",
+            "--timing",
+        )
+        assert doc["spectrum_route"] == "certificate"
+        _, doc, _ = invoke(capsys, "spectrum", C4_ODD)
+        assert "spectrum_route" not in doc
+
 
 class TestProduct:
     def test_writes_product_and_verifies(self, capsys, tmp_path):
@@ -179,6 +192,18 @@ class TestProduct:
         og = parse_graph(out.read_text())
         assert og.n == 8
         assert og.graph.m == 12
+
+    def test_tol_without_verify_is_an_input_error(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        out = tmp_path / "prod.og"
+        code, doc, err = invoke(capsys, "product", P2, P2, str(out), "--tol", "nan")
+        assert code == 2 and doc is None
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+        monkeypatch.setenv("SKEWSPEC_TOL", "nan")
+        code, doc, _ = invoke(capsys, "product", P2, P2, str(out))
+        assert code == 0 and "tol" not in doc
 
     def test_non_bipartite_left_factor_rejected(self, capsys, tmp_path):
         tri = tmp_path / "tri.og"
@@ -326,6 +351,21 @@ class TestEquiv:
 
 
 class TestInputErrors:
+    def test_dense_cap_spares_certified_orientations(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr("skewspec.graph.ORDER_CAP", 3)
+        edgeless = tmp_path / "edgeless.og"
+        edgeless.write_text("og 8 0\n")
+        code, doc, _ = invoke(capsys, "spectrum", str(edgeless))
+        assert code == 0 and doc["certificate"] is True
+        assert doc["values"] == [0] * 8
+        code, doc, _ = invoke(capsys, "spectrum", C4_ODD)
+        assert code == 0 and doc["energy"] == pytest.approx(4 * math.sqrt(2))
+        code, doc, err = invoke(capsys, "spectrum", C4_ELEM)
+        assert code == 2 and doc is None
+        assert err.startswith("error:") and "cap" in err
+
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "spectrum", "no_such_file.og")
         assert code == 2

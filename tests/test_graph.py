@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+import skewspec.graph as graph_module
 from skewspec import (
     Bipartition,
+    BudgetExceededError,
     DuplicateEdgeError,
     Graph,
     InvalidBipartitionError,
@@ -114,6 +116,21 @@ class TestMatrices:
     def test_reversal_negates(self):
         og = from_arcs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert np.array_equal(skew_adjacency(og.reverse()), -skew_adjacency(og))
+
+    def test_dense_cap_checked_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "ORDER_CAP", 3)
+        assert adjacency_matrix(path(3)).shape == (3, 3)
+        assert skew_adjacency(from_arcs(3, [(0, 1)])).shape == (3, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated a matrix over the cap")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        og = from_arcs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(BudgetExceededError):
+            adjacency_matrix(og.graph)
+        with pytest.raises(BudgetExceededError):
+            skew_adjacency(og)
 
     @given(oriented_graphs())
     def test_skew_is_exactly_antisymmetric(self, og):

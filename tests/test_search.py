@@ -8,6 +8,7 @@ from skewspec import (
     complete_bipartite,
     cycle,
     find_max_energy_orientation,
+    hypercube,
     is_gram_scalar,
     path,
     seed_orientation,
@@ -82,3 +83,11 @@ class TestSearchExhausts:
         assert not res.found
         assert not res.exhausted
         assert res.states == 5
+
+    def test_q8_needs_no_recursion(self):
+        # 1024 edges: one search level per edge, deeper than the
+        # interpreter's default recursion limit.
+        res = find_max_energy_orientation(hypercube(8), budget=10_000)
+        assert res.states <= 10_000
+        if res.found:
+            assert is_gram_scalar(res.orientation, 8)

@@ -4,20 +4,28 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from skewspec import (
+    BASE_NAMES,
+    FamilySpec,
     NotRegularError,
     NotSymmetricError,
     OrientedGraph,
     Spectrum,
     adjacency_spectrum,
+    build_graph,
+    complete,
     complete_bipartite,
     cycle,
     elementary_orientation,
     from_arcs,
+    generate_family,
     graph_energy,
+    hypercube,
     is_gram_scalar,
     path,
+    seed_orientation,
     skew_adjacency,
     skew_energy,
     skew_gram,
@@ -27,7 +35,33 @@ from skewspec import (
     symmetric_eigenvalues,
 )
 from oracles import all_orientations, direct_skew_spectrum
-from strategies import oriented_graphs
+from strategies import graphs, oriented_graphs
+
+
+@st.composite
+def gram_cases(draw):
+    # Random, edgeless and regular graphs, randomly or maximally oriented,
+    # with the degree, a wrong k, 0 or -1 as the scalar.
+    og = draw(
+        st.one_of(
+            st.sampled_from(BASE_NAMES).map(seed_orientation),
+            st.one_of(
+                graphs(min_n=0, max_n=8),
+                st.integers(0, 6).map(lambda n: build_graph(n, [])),
+                st.integers(3, 8).map(cycle),
+                st.integers(1, 6).map(complete),
+                st.integers(1, 4).map(lambda a: complete_bipartite(a, a)),
+                st.integers(1, 3).map(hypercube),
+            ).flatmap(
+                lambda g: st.lists(
+                    st.integers(0, 1), min_size=g.m, max_size=g.m
+                ).map(lambda bits: OrientedGraph(g, tuple(bits)))
+            ),
+        )
+    )
+    deg = og.graph.regular_degree()
+    k = draw(st.integers(-1, og.n + 1) | st.just(0 if deg is None else deg))
+    return og, k
 
 
 class TestSymmetricEigenvalues:
@@ -186,6 +220,34 @@ class TestGramScalar:
         hits = sum(is_gram_scalar(og, 2) for og in all_orientations(cycle(4)))
         # 8 of the 16 orientations of a 4-cycle sit on the energy bound
         assert hits == 8
+
+    @given(gram_cases())
+    def test_sparse_test_matches_dense_gram(self, case):
+        og, k = case
+        dense = np.array_equal(skew_gram(og), k * np.eye(og.n, dtype=np.int64))
+        assert is_gram_scalar(og, k) is dense
+
+    def test_certified_energy_needs_no_eigensolve(self, monkeypatch):
+        og = generate_family(FamilySpec("k44", 3)).orientation
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve on a certified orientation")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rep = skew_energy(og)
+        assert rep.exact_certificate
+        assert set(rep.spectrum.values) == {math.sqrt(12), -math.sqrt(12)}
+        assert rep.energy == pytest.approx(512 * math.sqrt(12), rel=1e-12)
+
+    @pytest.mark.parametrize("base", BASE_NAMES)
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_certified_spectrum_is_bit_identical_to_dense(self, base, r):
+        og = generate_family(FamilySpec(base, r)).orientation
+        rep = skew_energy(og)
+        dense = skew_spectrum(og)
+        assert rep.exact_certificate
+        assert rep.spectrum == dense
+        assert rep.energy == spectrum_energy(dense)
 
     def test_spectrum_energy_helper(self):
         assert spectrum_energy(Spectrum((2.0, 0.0, -2.0))) == 4.0
