@@ -28,6 +28,7 @@ from .graph import (
     X,
     Graph,
     OrientedGraph,
+    _require_dense_order,
     bipartition,
     build_graph,
     from_arcs,
@@ -132,9 +133,12 @@ def product_skew_kronecker(ht: OrientedGraph, gs: OrientedGraph) -> np.ndarray:
 
     Rows and columns follow the product vertex order, so S(H) is
     conjugated into block order and I' carries +1 over X-side rows and
-    -1 over Y-side rows.  Exact int64.
+    -1 over Y-side rows.  Exact int64.  Raises
+    :class:`BudgetExceededError` when the product order exceeds
+    ``ORDER_CAP``, before anything is allocated.
     """
     h, g = ht.graph, gs.graph
+    _require_dense_order(h.n * g.n)
     b = bipartition(h)
     order = product_vertex_order(h, g)
     perm = np.asarray(order.h_order, dtype=np.intp)

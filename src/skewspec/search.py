@@ -8,8 +8,9 @@ for each vertex pair (i, j),
     (S S^T)[i, j] = sum over common neighbors t of S[i, t] * S[j, t]
 
 must vanish.  Writing x_e = +1/-1 for the direction bit of edge e, each
-summand is a fixed sign times x_{it} * x_{jt}, so the search assigns bits
-in edge order and maintains, per vertex pair, the partial sum of resolved
+summand is a fixed sign times x_{it} * x_{jt} (the table of
+:func:`skewspec.spectra.gram_terms`), so the search assigns bits in edge
+order and maintains, per vertex pair, the partial sum of resolved
 summands and the count of unresolved ones.  A branch dies as soon as some
 partial sum can no longer reach zero (|sum| > pending).  The first edge's
 bit is pinned to 0: switching at one endpoint flips exactly that edge's
@@ -22,9 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotRegularError
 from .graph import Graph, OrientedGraph
-from .spectra import is_gram_scalar
+from .spectra import gram_terms, is_gram_scalar
 
 
 @dataclass(frozen=True)
@@ -60,30 +63,21 @@ def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchRe
     if m == 0:
         return SearchResult(OrientedGraph(g, ()), 0, True)
 
-    # One constraint per vertex pair with at least one common neighbor.
-    # Each summand is keyed to the later of its two edges, the moment it
-    # becomes known.
-    pair_count = 0
-    pending: list[int] = []
+    # One constraint per vertex pair with a common neighbor, numbered in
+    # (i, j) order.  Each summand is keyed to the later of its two edges,
+    # the moment it becomes known, in ascending pair order.
+    i, j, e_i, e_j, sign = gram_terms(g)
+    _, pair, pending = np.unique(i * g.n + j, return_inverse=True, return_counts=True)
+    later = np.maximum(e_i, e_j)
+    table = np.stack((later, pair, np.minimum(e_i, e_j), sign), axis=1)
     terms_by_edge: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            common = [t for t in g.neighbors(i) if g.has_edge(j, t)]
-            if not common:
-                continue
-            p = pair_count
-            pair_count += 1
-            pending.append(len(common))
-            for t in common:
-                e1 = g.edge_index(i, t)
-                e2 = g.edge_index(j, t)
-                f = (1 if i < t else -1) * (1 if j < t else -1)
-                terms_by_edge[max(e1, e2)].append((p, min(e1, e2), f))
+    for e, p, other, f in table[np.lexsort((pair, later))].tolist():
+        terms_by_edge[e].append((p, other, f))
 
     # Depth-first over edges with an explicit stack: applied[e] holds the
     # (pair, summand) updates made by edge e's current bit, so that any
     # depth is reachable without recursion.  Edge 0 only ever takes bit 0.
-    sums = [0] * pair_count
+    pending, sums = pending.tolist(), [0] * pending.size
     bits = [0] * m
     applied: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     states = 0

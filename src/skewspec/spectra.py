@@ -9,13 +9,14 @@ rounding: the eigenvalues of the symmetric positive semidefinite matrix
 S S^T are the squared magnitudes, each nonzero one with even multiplicity,
 so adjacent square roots are averaged into one magnitude per +/- pair.
 
-Skew energy is certificate first.  The exact integer test S S^T = k I
-(:func:`is_gram_scalar`) runs before any eigensolve, on the nonzero
-entries of S alone, with no n x n array.  When it holds, the spectrum is
-+/-sqrt(k) with multiplicity n/2 each and the energy is the n * sqrt(k)
-bound, so nothing is solved.  Only an uncertified orientation goes to the
-dense route, :func:`skew_spectrum` on :func:`skew_gram`, which stays the
-independent cross-check in the tests.
+The off-diagonal terms of S S^T come from one kernel, :func:`gram_terms`,
+read by the exact certificate, the dense gram and the orientation search.
+Skew energy is certificate first: the integer test S S^T = k I
+(:func:`is_gram_scalar`) runs before any eigensolve, with no n x n
+array.  When it holds, the spectrum is +/-sqrt(k) with multiplicity n/2
+each and the energy is the n * sqrt(k) bound, so nothing is solved.
+Only an uncertified orientation goes to the dense route,
+:func:`skew_spectrum` on :func:`skew_gram`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAntisymmetricError, NotRegularError, NotSymmetricError
-from .graph import Graph, OrientedGraph, adjacency_matrix, skew_adjacency
+from .graph import Graph, OrientedGraph, _require_dense_order, adjacency_matrix
 
 
 @dataclass(frozen=True)
@@ -83,24 +84,45 @@ def adjacency_spectrum(g: Graph) -> Spectrum:
     return symmetric_eigenvalues(adjacency_matrix(g))
 
 
+def gram_terms(g: Graph):
+    """The terms S[i, t] * S[j, t] of S S^T, over neighbour pairs i < j of t.
+
+    Returns int64 arrays ``(i, j, e_i, e_j, f)``: the rows, the positions
+    of the edges {i, t} and {j, t}, and the term when every arc runs from
+    its smaller end; a direction bit b on either edge multiplies it by
+    1 - 2b.  Terms come column by column, (i, j) ascending in each.
+    """
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    rows, cols = np.concatenate((ends, ends[:, ::-1])).T
+    by_col = np.lexsort((rows, cols))
+    rows, cols, edge = rows[by_col], cols[by_col], np.tile(np.arange(g.m), 2)[by_col]
+    sign = np.where(rows < cols, 1, -1)
+    # Entry a pairs with every later entry b of its own column.
+    col_end = np.cumsum(np.bincount(cols, minlength=g.n))[cols]
+    later = col_end - np.arange(cols.size) - 1
+    a = np.repeat(np.arange(cols.size), later)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
+    return rows[a], rows[b], edge[a], edge[b], sign[a] * sign[b]
+
+
+def _oriented_terms(og: OrientedGraph):
+    i, j, e_i, e_j, f = gram_terms(og.graph)
+    x = 1 - 2 * np.array(og.direction, dtype=np.int64)
+    return i, j, f * x[e_i] * x[e_j]
+
+
 def skew_gram(og: OrientedGraph) -> np.ndarray:
     """S S^T over the integers, S the skew-symmetric matrix of ``og``.
 
-    Computed by accumulating one outer product per vertex: column t of S
-    is supported on the neighbors of t, so
-    (S S^T)[i, j] = sum_t S[i, t] * S[j, t] touches only pairs of
-    neighbors of t.  This keeps the work proportional to the sum of the
-    squared degrees and stays in exact int64 arithmetic.
+    The degree sequence on the diagonal plus the oriented
+    :func:`gram_terms` off it; no dense S is built.  Raises
+    :class:`BudgetExceededError` above ``ORDER_CAP`` before allocating.
     """
-    s = skew_adjacency(og)
-    n = og.n
-    gram = np.zeros((n, n), dtype=np.int64)
-    for t in range(n):
-        nbrs = np.fromiter(og.graph.neighbors(t), dtype=np.intp)
-        if nbrs.size == 0:
-            continue
-        col = s[nbrs, t]
-        gram[np.ix_(nbrs, nbrs)] += np.outer(col, col)
+    _require_dense_order(og.n)
+    i, j, terms = _oriented_terms(og)
+    gram = np.diag(np.array(og.graph.degrees(), dtype=np.int64))
+    np.add.at(gram, (i, j), terms)
+    np.add.at(gram, (j, i), terms)
     return gram
 
 
@@ -185,11 +207,8 @@ def is_gram_scalar(og: OrientedGraph, k: int | None = None) -> bool:
     When ``k`` is omitted the graph must be regular (the diagonal of
     S S^T is the degree sequence, so no other k can work); a non-regular
     graph then raises :class:`NotRegularError`.  A degree other than
-    ``k`` fails at once.  Otherwise each column t of S holds k signed
-    entries, one per neighbour, and contributes S[i, t] * S[j, t] to the
-    off-diagonal entry (i, j) for each pair of them: n * k(k-1)/2 keyed
-    +/-1 terms in all, sorted by key and summed in int64.  The test holds
-    exactly when every sum is 0.
+    ``k`` fails at once.  Otherwise the test holds exactly when the
+    oriented :func:`gram_terms` sum to 0, in int64, for every pair (i, j).
     """
     if k is None:
         k = og.graph.regular_degree()
@@ -197,25 +216,11 @@ def is_gram_scalar(og: OrientedGraph, k: int | None = None) -> bool:
             raise NotRegularError("graph is not regular")
     if any(d != k for d in og.graph.degrees()):
         return False
-    n = og.n
-    if n == 0 or k < 2:
-        return True  # no column of S holds two entries
-    ends = np.array(og.graph.edges, dtype=np.int64)
-    # S[u, v] for each canonical edge (u, v); S[v, u] is its negation.
-    sign = 1 - 2 * np.array(og.direction, dtype=np.int64)
-    rows = np.concatenate((ends[:, 0], ends[:, 1]))
-    cols = np.concatenate((ends[:, 1], ends[:, 0]))
-    vals = np.concatenate((sign, -sign))
-    by_col = np.lexsort((rows, cols))
-    rows = rows[by_col].reshape(n, k)
-    vals = vals[by_col].reshape(n, k)
-    a, b = np.triu_indices(k, 1)
-    keys = (rows[:, a] * n + rows[:, b]).ravel()
-    terms = (vals[:, a] * vals[:, b]).ravel()
+    i, j, terms = _oriented_terms(og)
+    keys = i * og.n + j
     by_key = np.argsort(keys)
-    keys, terms = keys[by_key], terms[by_key]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return not np.add.reduceat(terms, starts).any()
+    starts = np.flatnonzero(np.diff(keys[by_key], prepend=-1))
+    return not np.add.reduceat(terms[by_key], starts).any()
 
 
 def skew_energy(og: OrientedGraph) -> EnergyReport:

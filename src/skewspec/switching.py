@@ -126,34 +126,35 @@ def chordless_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleWalk]:
     """
     out: list[CycleWalk] = []
     adj = [g.neighbors(v) for v in range(g.n)]
-
-    def extend(path: list[int], in_path: set[int]) -> None:
-        u0, u1, last = path[0], path[1], path[-1]
-        for w in adj[last]:
-            if w <= u0 or w in in_path:
-                continue
-            # A chord from w to any interior vertex kills both closing
-            # and extending through w.
-            if not adj[w].isdisjoint(path[1:-1]):
-                continue
-            if u0 in adj[w]:
-                if w > u1:
-                    if len(out) >= cap:
-                        raise CapExceededError(
-                            f"more than {cap} chordless cycles", cycles=list(out)
-                        )
-                    out.append(CycleWalk(tuple(path) + (w,)))
-                continue
-            path.append(w)
-            in_path.add(w)
-            extend(path, in_path)
-            in_path.discard(w)
-            path.pop()
-
-    for u0 in range(g.n):
-        for u1 in adj[u0]:
-            if u1 > u0:
-                extend([u0, u1], {u0, u1})
+    # Depth-first with an explicit stack: stack[d] iterates the neighbours
+    # of path[d + 1], so no cycle length hits a recursion limit.
+    starts = [(u0, u1) for u0 in range(g.n) for u1 in adj[u0] if u1 > u0]
+    for u0, u1 in starts:
+        path, in_path = [u0, u1], {u0, u1}
+        stack = [iter(adj[u1])]
+        while stack:
+            for w in stack[-1]:
+                if w <= u0 or w in in_path:
+                    continue
+                # A chord from w to any interior vertex kills both closing
+                # and extending through w.
+                if not adj[w].isdisjoint(path[1:-1]):
+                    continue
+                if u0 in adj[w]:
+                    if w > u1:
+                        if len(out) >= cap:
+                            raise CapExceededError(
+                                f"more than {cap} chordless cycles", cycles=list(out)
+                            )
+                        out.append(CycleWalk(tuple(path) + (w,)))
+                    continue
+                path.append(w)
+                in_path.add(w)
+                stack.append(iter(adj[w]))
+                break
+            else:
+                stack.pop()
+                in_path.discard(path.pop())
     return out
 
 

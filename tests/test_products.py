@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import skewspec.graph as graph_module
 from skewspec import (
+    BudgetExceededError,
     NotBipartiteError,
     OrientedGraph,
     Spectrum,
@@ -125,6 +127,20 @@ class TestMatrixIdentity:
         assert not np.array_equal(
             skew_adjacency(unreversed), product_skew_kronecker(p2, p2)
         )
+
+    def test_dense_cap_checked_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "ORDER_CAP", 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated a matrix over the cap")
+
+        monkeypatch.setattr(np, "kron", refuse)
+        monkeypatch.setattr(np, "zeros", refuse)
+        p2 = from_arcs(2, [(0, 1)])
+        with pytest.raises(BudgetExceededError):
+            product_skew_kronecker(p2, p2)
+        with pytest.raises(BudgetExceededError):
+            skew_gram(seed_orientation("c4"))
 
     def test_random_pairs_exact(self, rng):
         lefts = [path(2), path(4), cycle(4), cycle(6), complete_bipartite(2, 3)]

@@ -67,6 +67,26 @@ class TestSearchFinds:
         assert res.found and res.orientation.direction == ()
 
 
+@pytest.mark.parametrize(
+    "g, states, exhausted",
+    [
+        (complete_bipartite(4, 4), 22, False),
+        (complete_bipartite(6, 6), 53119, True),
+        (complete_bipartite(8, 8), 140, False),
+        (complete_bipartite(12, 12), 2982, False),
+        (complete_bipartite(16, 16), 10840, False),
+        (hypercube(7), 640, False),
+        (cycle(6), 3, True),
+        (complete(4), 7, False),
+        (cycle(4), 4, False),
+    ],
+    ids=["K4,4", "K6,6", "K8,8", "K12,12", "K16,16", "Q7", "C6", "K4", "C4"],
+)
+def test_state_counts_are_pinned(g, states, exhausted):
+    res = find_max_energy_orientation(g)
+    assert (res.states, res.exhausted, res.found) == (states, exhausted, not exhausted)
+
+
 class TestSearchExhausts:
     def test_c6_and_c8_not_found(self):
         for n in (6, 8):

@@ -227,6 +227,19 @@ class TestGramScalar:
         dense = np.array_equal(skew_gram(og), k * np.eye(og.n, dtype=np.int64))
         assert is_gram_scalar(og, k) is dense
 
+    @given(gram_cases())
+    def test_sparse_test_matches_skew_product(self, case):
+        og, k = case
+        s = skew_adjacency(og)
+        scalar = np.array_equal(s @ s.T, k * np.eye(og.n, dtype=np.int64))
+        assert is_gram_scalar(og, k) is scalar
+
+    @given(gram_cases())
+    def test_gram_matches_skew_product(self, case):
+        og, _ = case
+        s = skew_adjacency(og)
+        assert np.array_equal(skew_gram(og), s @ s.T)
+
     def test_certified_energy_needs_no_eigensolve(self, monkeypatch):
         og = generate_family(FamilySpec("k44", 3)).orientation
 

@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 
 import pytest
@@ -196,6 +197,18 @@ class TestChordlessCycles:
         mine = chordless_cycles(g)
         assert {tuple(sorted(c.vertices)) for c in mine} == brute_induced_cycles(g)
         assert len(mine) == len({tuple(sorted(c.vertices)) for c in mine})
+
+    def test_long_cycle_needs_no_recursion(self):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            cycles = chordless_cycles(cycle(400))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [c.vertices for c in cycles] == [tuple(range(400))]
 
     def test_walks_are_cycles_of_the_graph(self):
         g = hypercube(3)
