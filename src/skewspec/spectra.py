@@ -84,6 +84,26 @@ def adjacency_spectrum(g: Graph) -> Spectrum:
     return symmetric_eigenvalues(adjacency_matrix(g))
 
 
+def _column_entries(g: Graph):
+    # The nonzero entries of S for the all-zero orientation, column by
+    # column with rows ascending: row, edge position, sign, and how many
+    # later entries share the column.
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    rows, cols = np.concatenate((ends, ends[:, ::-1])).T
+    by_col = np.lexsort((rows, cols))
+    rows, cols, edge = rows[by_col], cols[by_col], np.tile(np.arange(g.m), 2)[by_col]
+    later = np.cumsum(np.bincount(cols, minlength=g.n))[cols] - np.arange(cols.size) - 1
+    return rows, edge, np.where(rows < cols, 1, -1), later
+
+
+def _pairs(later, first):
+    # Entry a pairs with every later entry b of its own column, for each
+    # a in `first`.
+    count = later[first]
+    a = np.repeat(first, count)
+    return a, a + 1 + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+
+
 def gram_terms(g: Graph):
     """The terms S[i, t] * S[j, t] of S S^T, over neighbour pairs i < j of t.
 
@@ -92,37 +112,46 @@ def gram_terms(g: Graph):
     its smaller end; a direction bit b on either edge multiplies it by
     1 - 2b.  Terms come column by column, (i, j) ascending in each.
     """
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    rows, cols = np.concatenate((ends, ends[:, ::-1])).T
-    by_col = np.lexsort((rows, cols))
-    rows, cols, edge = rows[by_col], cols[by_col], np.tile(np.arange(g.m), 2)[by_col]
-    sign = np.where(rows < cols, 1, -1)
-    # Entry a pairs with every later entry b of its own column.
-    col_end = np.cumsum(np.bincount(cols, minlength=g.n))[cols]
-    later = col_end - np.arange(cols.size) - 1
-    a = np.repeat(np.arange(cols.size), later)
-    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
+    rows, edge, sign, later = _column_entries(g)
+    a, b = _pairs(later, np.arange(rows.size))
     return rows[a], rows[b], edge[a], edge[b], sign[a] * sign[b]
 
 
-def _oriented_terms(og: OrientedGraph):
-    i, j, e_i, e_j, f = gram_terms(og.graph)
-    x = 1 - 2 * np.array(og.direction, dtype=np.int64)
-    return i, j, f * x[e_i] * x[e_j]
+def _oriented_blocks(og: OrientedGraph):
+    # The oriented gram_terms as ((i, j), term) in blocks of whole rows i,
+    # each of at most n^2 terms unless one row alone has more.  Every pair
+    # (i, j) lies in one block, and the terms held at once stay O(n^2)
+    # even where the sum of C(deg, 2) over the columns is O(n^3).
+    n = og.n
+    rows, edge, sign, later = _column_entries(og.graph)
+    s = sign * (1 - 2 * np.array(og.direction, dtype=np.int64))[edge]
+    by_row = np.argsort(rows, kind="stable")
+    row_at = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    row_terms = np.bincount(rows, weights=later, minlength=n).astype(np.int64)
+    terms_before = np.concatenate(([0], np.cumsum(row_terms)))
+    r0 = 0
+    while r0 < n:
+        r1 = np.searchsorted(terms_before, terms_before[r0] + n * n, side="right") - 1
+        r1 = max(int(r1), r0 + 1)
+        a, b = _pairs(later, by_row[row_at[r0] : row_at[r1]])
+        yield (rows[a], rows[b]), s[a] * s[b]
+        r0 = r1
 
 
 def skew_gram(og: OrientedGraph) -> np.ndarray:
     """S S^T over the integers, S the skew-symmetric matrix of ``og``.
 
     The degree sequence on the diagonal plus the oriented
-    :func:`gram_terms` off it; no dense S is built.  Raises
+    :func:`gram_terms` off it, scattered a block of rows at a time, so
+    no dense S is built and memory stays O(n^2) on dense graphs.  Raises
     :class:`BudgetExceededError` above ``ORDER_CAP`` before allocating.
     """
     _require_dense_order(og.n)
-    i, j, terms = _oriented_terms(og)
-    gram = np.diag(np.array(og.graph.degrees(), dtype=np.int64))
-    np.add.at(gram, (i, j), terms)
-    np.add.at(gram, (j, i), terms)
+    upper = np.zeros((og.n, og.n), dtype=np.int64)
+    for ij, terms in _oriented_blocks(og):
+        np.add.at(upper, ij, terms)
+    gram = upper + upper.T
+    gram[np.diag_indices(og.n)] = og.graph.degrees()
     return gram
 
 
@@ -208,7 +237,8 @@ def is_gram_scalar(og: OrientedGraph, k: int | None = None) -> bool:
     S S^T is the degree sequence, so no other k can work); a non-regular
     graph then raises :class:`NotRegularError`.  A degree other than
     ``k`` fails at once.  Otherwise the test holds exactly when the
-    oriented :func:`gram_terms` sum to 0, in int64, for every pair (i, j).
+    oriented :func:`gram_terms` sum to 0, in int64, for every pair (i, j);
+    they are summed a block of rows at a time, in O(n^2) memory at most.
     """
     if k is None:
         k = og.graph.regular_degree()
@@ -216,11 +246,13 @@ def is_gram_scalar(og: OrientedGraph, k: int | None = None) -> bool:
             raise NotRegularError("graph is not regular")
     if any(d != k for d in og.graph.degrees()):
         return False
-    i, j, terms = _oriented_terms(og)
-    keys = i * og.n + j
-    by_key = np.argsort(keys)
-    starts = np.flatnonzero(np.diff(keys[by_key], prepend=-1))
-    return not np.add.reduceat(terms[by_key], starts).any()
+    for (i, j), terms in _oriented_blocks(og):
+        keys = i * og.n + j
+        by_key = np.argsort(keys)
+        starts = np.flatnonzero(np.diff(keys[by_key], prepend=-1))
+        if np.add.reduceat(terms[by_key], starts).any():
+            return False
+    return True
 
 
 def skew_energy(og: OrientedGraph) -> EnergyReport:

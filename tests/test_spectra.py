@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -206,6 +207,17 @@ class TestEnergy:
             assert any(abs(abs(v) - math.sqrt(k)) > 1e-8 for v in vals) or k == 0
 
 
+def peak_bytes(fn, *args):
+    """fn(*args) and the most memory it held at once, per tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestGramScalar:
     def test_explicit_k(self):
         og = from_arcs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -239,6 +251,32 @@ class TestGramScalar:
         og, _ = case
         s = skew_adjacency(og)
         assert np.array_equal(skew_gram(og), s @ s.T)
+
+    def test_paley_tournament_certified_across_row_blocks(self):
+        # The Paley tournament on Z_7 (i -> j when j - i is a square) plus
+        # a source has S S^T = 7 I; its 168 terms span several blocks of
+        # at most n^2 = 64.
+        arcs = [(i, (i + d) % 7) for i in range(7) for d in (1, 2, 4)]
+        og = from_arcs(8, arcs + [(7, i) for i in range(7)])
+        assert is_gram_scalar(og, 7)
+        assert np.array_equal(skew_gram(og), 7 * np.eye(8, dtype=np.int64))
+        flipped = OrientedGraph(og.graph, (1,) + og.direction[1:])
+        assert not is_gram_scalar(flipped, 7)
+
+    def test_dense_graph_memory_stays_quadratic(self):
+        # K_200 has sum C(deg, 2) ~ n^3 / 2 = 3.9e6 gram terms, each term
+        # array ~100 times 8 n^2 bytes; both routes hold O(n^2) at once.
+        n = 200
+        k_n = complete(n)
+        og = OrientedGraph(k_n, tuple((u * 7 + v) % 2 for u, v in k_n.edges))
+        minus_edge = OrientedGraph(build_graph(n, k_n.edges[1:]), og.direction[1:])
+        s = skew_adjacency(minus_edge)
+        gram, gram_peak = peak_bytes(skew_gram, minus_edge)
+        scalar, scalar_peak = peak_bytes(is_gram_scalar, og, n - 1)
+        assert np.array_equal(gram, s @ s.T)
+        assert not scalar
+        assert gram_peak < 32 * 8 * n * n
+        assert scalar_peak < 32 * 8 * n * n
 
     def test_certified_energy_needs_no_eigensolve(self, monkeypatch):
         og = generate_family(FamilySpec("k44", 3)).orientation
