@@ -11,10 +11,12 @@ must vanish.  Writing x_e = +1/-1 for the direction bit of edge e, each
 summand is a fixed sign times x_{it} * x_{jt} (the table of
 :func:`skewspec.spectra.gram_terms`), so the search assigns bits in edge
 order and maintains, per vertex pair, the partial sum of resolved
-summands and the count of unresolved ones.  A branch dies as soon as some
-partial sum can no longer reach zero (|sum| > pending).  The first edge's
-bit is pinned to 0: switching at one endpoint flips exactly that edge's
-bit while preserving S S^T, so the other half of the space is redundant.
+summands.  Since edges are assigned in order, the count of a pair's
+unresolved summands after each summand is fixed, and is stored with it.
+A branch dies as soon as some partial sum can no longer reach zero
+(|sum| > unresolved).  The first edge's bit is pinned to 0: switching at
+one endpoint flips exactly that edge's bit while preserving S S^T, so
+the other half of the space is redundant.
 Enumeration is lexicographic and deterministic; the returned orientation
 is the first success.
 """
@@ -65,55 +67,58 @@ def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchRe
 
     # One constraint per vertex pair with a common neighbor, numbered in
     # (i, j) order.  Each summand is keyed to the later of its two edges,
-    # the moment it becomes known, in ascending pair order.
+    # the moment it becomes known, in ascending pair order, and carries
+    # the number of its pair's summands still unresolved once it is added.
     i, j, e_i, e_j, sign = gram_terms(g)
     _, pair, pending = np.unique(i * g.n + j, return_inverse=True, return_counts=True)
     later = np.maximum(e_i, e_j)
     table = np.stack((later, pair, np.minimum(e_i, e_j), sign), axis=1)
-    terms_by_edge: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+    terms_by_edge: list[list[tuple[int, int, int, int]]] = [[] for _ in range(m)]
+    pending = pending.tolist()
     for e, p, other, f in table[np.lexsort((pair, later))].tolist():
-        terms_by_edge[e].append((p, other, f))
+        pending[p] -= 1
+        terms_by_edge[e].append((p, other, f, pending[p]))
 
-    # Depth-first over edges with an explicit stack: applied[e] holds the
-    # (pair, summand) updates made by edge e's current bit, so that any
-    # depth is reachable without recursion.  Edge 0 only ever takes bit 0.
-    pending, sums = pending.tolist(), [0] * pending.size
-    bits = [0] * m
-    applied: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    # Depth-first over edges with an explicit stack: x[e] = 1 - 2 * bit
+    # of edge e, and added[e] counts the summands its current bit added,
+    # so that any depth is reachable without recursion and backing up
+    # subtracts exactly those.  Edge 0 only ever takes bit 0.
+    sums = [0] * len(pending)
+    x = [1] * m
+    added = [0] * m
     states = 0
-    e, b = 0, 0
+    e, xe = 0, 1
     while True:
         if budget is not None and states >= budget:
             return SearchResult(None, states, exhausted=False)
         states += 1
-        bits[e] = b
-        x = 1 - 2 * b
-        app = applied[e] = []
+        x[e] = xe
+        count = 0
         alive = True
-        for p, other, f in terms_by_edge[e]:
-            v = f * x * (1 - 2 * bits[other])
-            sums[p] += v
-            pending[p] -= 1
-            app.append((p, v))
-            if abs(sums[p]) > pending[p]:
+        for p, other, f, unresolved in terms_by_edge[e]:
+            s = sums[p] = sums[p] + f * xe * x[other]
+            count += 1
+            if abs(s) > unresolved:
                 alive = False
                 break
+        added[e] = count
         if alive:
             if e + 1 == m:
                 break
-            e, b = e + 1, 0
+            e, xe = e + 1, 1
             continue
         # Undo edge e, then back up past every edge whose bits are spent.
         while True:
-            for p, v in applied[e]:
-                sums[p] -= v
-                pending[p] += 1
-            if bits[e] == 0 and e > 0:
-                b = 1
+            xe = x[e]
+            for p, other, f, _ in terms_by_edge[e][: added[e]]:
+                sums[p] -= f * xe * x[other]
+            if xe == 1 and e > 0:
+                xe = -1
                 break
             e -= 1
             if e < 0:
                 return SearchResult(None, states, exhausted=True)
+    bits = [(1 - v) // 2 for v in x]
     og = OrientedGraph(g, tuple(bits))
     if not is_gram_scalar(og, k):
         raise AssertionError("search invariant violated: candidate fails k I test")
