@@ -62,7 +62,11 @@ def _resolve_tol(args) -> float:
 
 def _load(path: str) -> Graph | OrientedGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SkewspecError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_graph(text)
 
 
 def _load_oriented(path: str, why: str) -> OrientedGraph:
@@ -194,6 +198,8 @@ def _cmd_family(args):
 
 
 def _cmd_search(args):
+    if args.budget < 0:
+        raise SkewspecError(f"--budget must be >= 0, got {args.budget}")
     g = _load_undirected(args.file, "search")
     result = find_max_energy_orientation(g, budget=args.budget)
     doc = {

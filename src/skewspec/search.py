@@ -7,18 +7,35 @@ for each vertex pair (i, j),
 
     (S S^T)[i, j] = sum over common neighbors t of S[i, t] * S[j, t]
 
-must vanish.  Writing x_e = +1/-1 for the direction bit of edge e, each
-summand is a fixed sign times x_{it} * x_{jt} (the table of
-:func:`skewspec.spectra.gram_terms`), so the search assigns bits in edge
-order and maintains, per vertex pair, the partial sum of resolved
-summands.  Since edges are assigned in order, the count of a pair's
+must vanish.  Writing x_e = 1 - 2 b_e = +1/-1 for the direction bit b_e
+of edge e, each summand is a fixed sign f times x_a * x_b for the edges
+a = {i, t} and b = {j, t} (the table of
+:func:`skewspec.spectra.gram_terms`).
+
+Presolve.  Mod 4, f * x_a * x_b = f - 2 (b_a + b_b), so a pair whose
+summands have signs f_1..f_c vanishes mod 4 exactly when sum f is even
+and the XOR of the bits b_a, b_b over its summands equals
+(sum f) / 2 mod 2: one linear equation over GF(2) per pair.  The
+equations are eliminated with each row's pivot at its highest edge
+position.  An odd sum f or an inconsistent row proves that no
+orientation exists, before any bit is tried.  That covers the classical
+necessary conditions: K_{a,a} and K_a with a > 2 come out empty unless
+4 divides a, the order a Hadamard matrix (or skew-conference matrix)
+needs.
+
+Search.  Bits are assigned in edge order, depth first, bit 0 before
+bit 1, maintaining per vertex pair the partial sum of resolved summands.
+A pivot edge takes the one bit its row forces, since every other edge in
+its row comes earlier and is already assigned; only the other edges
+branch.  Since edges are assigned in order, the count of a pair's
 unresolved summands after each summand is fixed, and is stored with it.
 A branch dies as soon as some partial sum can no longer reach zero
 (|sum| > unresolved).  The first edge's bit is pinned to 0: switching at
-one endpoint flips exactly that edge's bit while preserving S S^T, so
-the other half of the space is redundant.
-Enumeration is lexicographic and deterministic; the returned orientation
-is the first success.
+one of its endpoints flips that bit together with the bit of every other
+edge at that vertex, and preserves S S^T, so the other half of the
+space holds only switched copies.  Both prunings drop only branches
+without a solution, so enumeration stays lexicographic and deterministic
+and the returned orientation is the first success.
 """
 
 from __future__ import annotations
@@ -38,7 +55,8 @@ class SearchResult:
 
     ``orientation`` is None when no orientation attains the bound;
     ``states`` counts attempted bit assignments; ``exhausted`` tells a
-    completed enumeration apart from a budget stop.
+    completed enumeration (or a presolve proof that there is nothing to
+    enumerate) apart from a budget stop.
     """
 
     orientation: OrientedGraph | None
@@ -48,6 +66,41 @@ class SearchResult:
     @property
     def found(self) -> bool:
         return self.orientation is not None
+
+
+def _mod4_pivots(m: int, pair, e_i, e_j, sign) -> dict[int, tuple[int, int]] | None:
+    # The S S^T = k I condition mod 4 over GF(2), one row per vertex pair:
+    # a bitset of edges (the XOR of each summand's two edge bits) and a
+    # right-hand side.  Returns {pivot edge: (row, rhs)}, the pivot being
+    # the row's highest edge after elimination, or None when the system
+    # has no solution.
+    total = np.bincount(pair, weights=sign).astype(np.int64)
+    if np.any(total % 2):
+        return None
+    rhs = (total // 2) % 2
+    ends = np.concatenate((pair, pair))
+    by_pair = np.argsort(ends, kind="stable")
+    edge_bit = np.left_shift(1, np.arange(m).astype(object))
+    rows = np.bitwise_xor.reduceat(
+        edge_bit[np.concatenate((e_i, e_j))[by_pair]],
+        np.searchsorted(ends[by_pair], np.arange(total.size)),
+    )
+    # Identical rows, such as a 4-cycle's seen from both its diagonals,
+    # are reduced once.
+    pivots: dict[int, tuple[int, int]] = {}
+    for row, b in dict.fromkeys(zip(rows.tolist(), rhs.tolist())):
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (row, b)
+                break
+            pivot_row, pivot_b = pivots[top]
+            row ^= pivot_row
+            b ^= pivot_b
+        else:
+            if b:
+                return None
+    return pivots
 
 
 def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchResult:
@@ -66,11 +119,28 @@ def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchRe
         return SearchResult(OrientedGraph(g, ()), 0, True)
 
     # One constraint per vertex pair with a common neighbor, numbered in
-    # (i, j) order.  Each summand is keyed to the later of its two edges,
-    # the moment it becomes known, in ascending pair order, and carries
-    # the number of its pair's summands still unresolved once it is added.
+    # (i, j) order.  A presolve proof of infeasibility ends the search
+    # before any state, whatever the budget.
     i, j, e_i, e_j, sign = gram_terms(g)
     _, pair, pending = np.unique(i * g.n + j, return_inverse=True, return_counts=True)
+    pivots = _mod4_pivots(m, pair, e_i, e_j, sign)
+    if pivots is None:
+        return SearchResult(None, 0, exhausted=True)
+    # A pivot edge's x is (-1)^rhs times the product of x over the rest
+    # of its row, all earlier edges.
+    forced: list[tuple[int, list[int]] | None] = [None] * m
+    for e, (row, b) in pivots.items():
+        row ^= 1 << e
+        others = []
+        while row:
+            low = row & -row
+            others.append(low.bit_length() - 1)
+            row ^= low
+        forced[e] = (1 - 2 * b, others)
+
+    # Each summand is keyed to the later of its two edges, the moment it
+    # becomes known, in ascending pair order, and carries the number of
+    # its pair's summands still unresolved once it is added.
     later = np.maximum(e_i, e_j)
     table = np.stack((later, pair, np.minimum(e_i, e_j), sign), axis=1)
     terms_by_edge: list[list[tuple[int, int, int, int]]] = [[] for _ in range(m)]
@@ -82,7 +152,9 @@ def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchRe
     # Depth-first over edges with an explicit stack: x[e] = 1 - 2 * bit
     # of edge e, and added[e] counts the summands its current bit added,
     # so that any depth is reachable without recursion and backing up
-    # subtracts exactly those.  Edge 0 only ever takes bit 0.
+    # subtracts exactly those.  Edge 0 only ever takes bit 0.  It is never
+    # a pivot: the bits that switching at one of its ends flips include
+    # its own and solve every homogeneous row, so no row is edge 0 alone.
     sums = [0] * len(pending)
     x = [1] * m
     added = [0] * m
@@ -106,13 +178,17 @@ def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchRe
             if e + 1 == m:
                 break
             e, xe = e + 1, 1
+            if forced[e] is not None:
+                xe, others = forced[e]
+                for other in others:
+                    xe *= x[other]
             continue
         # Undo edge e, then back up past every edge whose bits are spent.
         while True:
             xe = x[e]
             for p, other, f, _ in terms_by_edge[e][: added[e]]:
                 sums[p] -= f * xe * x[other]
-            if xe == 1 and e > 0:
+            if xe == 1 and e > 0 and forced[e] is None:
                 xe = -1
                 break
             e -= 1

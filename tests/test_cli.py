@@ -265,13 +265,18 @@ class TestSearch:
         assert doc["exhausted"] is True
         assert doc["arcs"] is None
 
-    def test_budget_stops_early(self, capsys, tmp_path):
-        c6 = tmp_path / "c6.ug"
-        c6.write_text("ug 6 6\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 0 5\n")
-        code, doc, _ = invoke(capsys, "search", "--budget", "2", str(c6))
+    def test_budget_stops_early(self, capsys):
+        code, doc, _ = invoke(capsys, "search", "--budget", "2", K44)
         assert code == 1
         assert doc["states"] == 2
         assert doc["exhausted"] is False
+
+    @pytest.mark.parametrize("budget", ["-1", "-5"])
+    def test_negative_budget_is_an_input_error(self, capsys, budget):
+        code, doc, err = invoke(capsys, "search", "--budget", budget, K44)
+        assert code == 2 and doc is None
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--budget" in err
 
     def test_irregular_graph_rejected(self, capsys):
         code, _, err = invoke(capsys, "search", P5)
@@ -370,6 +375,15 @@ class TestInputErrors:
         code, _, err = invoke(capsys, "spectrum", "no_such_file.og")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["spectrum", "check", "search"])
+    def test_non_utf8_file_is_an_input_error(self, capsys, tmp_path, command):
+        f = tmp_path / "bad.ug"
+        f.write_bytes(b"\xff\xfe\n")
+        code, doc, err = invoke(capsys, command, str(f))
+        assert code == 2 and doc is None
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "UTF-8" in err
 
     def test_parse_error_reports_line(self, capsys, tmp_path):
         f = tmp_path / "bad.og"

@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
 from skewspec import (
     NotRegularError,
+    OrientedGraph,
     build_graph,
     complete,
     complete_bipartite,
@@ -12,8 +16,11 @@ from skewspec import (
     is_gram_scalar,
     path,
     seed_orientation,
+    skew_adjacency,
     skew_gram,
 )
+from skewspec.search import _mod4_pivots
+from skewspec.spectra import gram_terms
 
 
 class TestSearchFinds:
@@ -68,22 +75,27 @@ class TestSearchFinds:
 
 
 @pytest.mark.parametrize(
-    "g, states, exhausted",
+    "g, budget, states, exhausted",
     [
-        (complete_bipartite(4, 4), 22, False),
-        (complete_bipartite(6, 6), 53119, True),
-        (complete_bipartite(8, 8), 140, False),
-        (complete_bipartite(12, 12), 2982, False),
-        (complete_bipartite(16, 16), 10840, False),
-        (hypercube(7), 640, False),
-        (cycle(6), 3, True),
-        (complete(4), 7, False),
-        (cycle(4), 4, False),
+        (complete_bipartite(4, 4), None, 18, False),
+        (complete_bipartite(6, 6), None, 0, True),
+        (complete_bipartite(8, 8), None, 133, False),
+        (complete_bipartite(12, 12), None, 2970, False),
+        (complete_bipartite(16, 16), None, 10824, False),
+        (hypercube(7), None, 448, False),
+        (cycle(6), None, 0, True),
+        (complete(4), None, 6, False),
+        (cycle(4), None, 4, False),
+        (complete_bipartite(10, 10), 10**6, 0, True),
+        (complete(10), 10**6, 0, True),
     ],
-    ids=["K4,4", "K6,6", "K8,8", "K12,12", "K16,16", "Q7", "C6", "K4", "C4"],
+    ids=[
+        "K4,4", "K6,6", "K8,8", "K12,12", "K16,16", "Q7", "C6", "K4", "C4",
+        "K10,10", "K10",
+    ],
 )
-def test_state_counts_are_pinned(g, states, exhausted):
-    res = find_max_energy_orientation(g)
+def test_state_counts_are_pinned(g, budget, states, exhausted):
+    res = find_max_energy_orientation(g, budget=budget)
     assert (res.states, res.exhausted, res.found) == (states, exhausted, not exhausted)
 
 
@@ -111,3 +123,97 @@ class TestSearchExhausts:
         assert res.states <= 10_000
         if res.found:
             assert is_gram_scalar(res.orientation, 8)
+
+
+def _random_regular(n, k, rng):
+    # A uniformly paired configuration, redrawn until it is simple.
+    while True:
+        stubs = [v for v in range(n) for _ in range(k)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(stubs[a : a + 2])) for a in range(0, len(stubs), 2)}
+        if len(edges) * 2 == len(stubs) and all(u != v for u, v in edges):
+            return build_graph(n, edges)
+
+
+def _union(*gs):
+    edges, shift = [], 0
+    for g in gs:
+        edges += [(u + shift, v + shift) for u, v in g.edges]
+        shift += g.n
+    return build_graph(shift, edges)
+
+
+def _brute_force_first(g):
+    # Every orientation with bit 0 = 0, in lexicographic order, tested
+    # with S S^T = k I on the per-arc skew adjacency matrix.
+    k = g.regular_degree()
+    target = k * np.eye(g.n, dtype=np.int64)
+    for rest in itertools.product((0, 1), repeat=g.m - 1):
+        og = OrientedGraph(g, (0,) + rest)
+        s = skew_adjacency(og)
+        if np.array_equal(s @ s.T, target):
+            return og
+    return None
+
+
+_RNG = random.Random(0x5EED)
+_SMALL_REGULAR = [
+    *((f"C{n}", cycle(n)) for n in range(3, 15)),
+    ("K4", complete(4)),
+    ("K3,3", complete_bipartite(3, 3)),
+    ("K4,4", complete_bipartite(4, 4)),
+    ("Q3", hypercube(3)),
+    ("2C4", _union(cycle(4), cycle(4))),
+    ("3C4", _union(cycle(4), cycle(4), cycle(4))),
+    ("C4+C8", _union(cycle(4), cycle(8))),
+    ("2K4", _union(complete(4), complete(4))),
+    ("K4+Q3", _union(complete(4), hypercube(3))),
+    *(
+        (f"2-regular-{t}", _random_regular(_RNG.randint(6, 14), 2, _RNG))
+        for t in range(6)
+    ),
+    *(
+        (f"3-regular-{t}", _random_regular(_RNG.choice((4, 6, 8)), 3, _RNG))
+        for t in range(6)
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in _SMALL_REGULAR], ids=[name for name, _ in _SMALL_REGULAR]
+)
+def test_search_matches_brute_force(g):
+    # An independent route past the mod-4 presolve and the pruning: the
+    # search returns the first success of the full enumeration, and proves
+    # none exactly when there is none.
+    expected = _brute_force_first(g)
+    res = find_max_energy_orientation(g)
+    assert res.orientation == expected
+    assert res.exhausted is (expected is None)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_hypercube_mod4_solutions_are_one_switching_class(d):
+    # Switching at a vertex set adds a cut vector to the direction bits and
+    # keeps S S^T, so the cut space (dimension n - 1 on a connected graph)
+    # lies in the mod-4 solution space.  Equal dimensions mean every
+    # orientation of Q_d with S S^T = d I is switching-equivalent to the
+    # one the search returns, which it reaches without backtracking.
+    g = hypercube(d)
+    i, j, e_i, e_j, sign = gram_terms(g)
+    _, pair = np.unique(i * g.n + j, return_inverse=True)
+    pivots = _mod4_pivots(g.m, pair, e_i, e_j, sign)
+    assert g.m - len(pivots) == g.n - 1
+    res = find_max_energy_orientation(g, budget=g.m)
+    assert res.found and res.states == g.m
+
+
+@pytest.mark.parametrize("a", range(1, 16))
+def test_presolve_proves_the_order_conditions(a):
+    # K_{a,a} needs a Hadamard matrix of order a and K_a a skew-conference
+    # matrix; for a > 2 both need 4 | a.  The presolve proves every other
+    # case empty in 0 states and leaves the rest to the search.
+    for g in (complete_bipartite(a, a), complete(a)):
+        res = find_max_energy_orientation(g, budget=1)
+        proved = (res.found, res.states, res.exhausted) == (False, 0, True)
+        assert proved is (a > 2 and a % 4 != 0)
