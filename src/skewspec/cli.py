@@ -6,7 +6,8 @@ JSON; generated graphs go to an output file in the native text format.
 
 Exit codes: 0 success (or a true verdict), 1 a clean false verdict,
 2 input error, 3 internal inconsistency (cross-checked results that must
-agree came out differently).
+agree came out differently), 4 any other exception raised while a
+subcommand runs.
 
 ``check`` and ``product --verify`` compare spectra; their tolerance
 resolves as: --tol flag, then the SKEWSPEC_TOL environment variable,
@@ -367,6 +368,11 @@ def run(argv=None) -> int:
     except (SkewspecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # A fault in the program, not in the input: one line and exit 4,
+        # never a traceback or the exit 1 of a clean false verdict.
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     if args.timing:
         doc["timing_seconds"] = time.perf_counter() - start
     sys.stdout.write(render_report(doc))

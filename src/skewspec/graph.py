@@ -150,10 +150,10 @@ def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> OrientedGraph:
     """Build an oriented graph from explicit (tail, head) pairs."""
     arcs = [(int(t), int(h)) for t, h in arcs]
     g = build_graph(n, arcs)
-    bits = [0] * g.m
-    for t, h in arcs:
-        bits[g.edge_index(t, h)] = 1 if t > h else 0
-    return OrientedGraph(g, tuple(bits))
+    # The arcs are valid and distinct, so sorted on their canonical pairs
+    # they fall in edge order.
+    keyed = sorted((t, h, 0) if t < h else (h, t, 1) for t, h in arcs)
+    return OrientedGraph(g, tuple(bit for _, _, bit in keyed))
 
 
 def _require_dense_order(n: int) -> None:

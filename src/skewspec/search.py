@@ -9,19 +9,20 @@ for each vertex pair (i, j),
 
 must vanish.  Writing x_e = 1 - 2 b_e = +1/-1 for the direction bit b_e
 of edge e, each summand is a fixed sign f times x_a * x_b for the edges
-a = {i, t} and b = {j, t} (the table of
-:func:`skewspec.spectra.gram_terms`).
+a = {i, t} and b = {j, t}, read off the stream
+:func:`skewspec.spectra.gram_terms` for the all-zero orientation.
 
 Presolve.  Mod 4, f * x_a * x_b = f - 2 (b_a + b_b), so a pair whose
 summands have signs f_1..f_c vanishes mod 4 exactly when sum f is even
 and the XOR of the bits b_a, b_b over its summands equals
-(sum f) / 2 mod 2: one linear equation over GF(2) per pair.  The
-equations are eliminated with each row's pivot at its highest edge
-position.  An odd sum f or an inconsistent row proves that no
-orientation exists, before any bit is tried.  That covers the classical
-necessary conditions: K_{a,a} and K_a with a > 2 come out empty unless
-4 divides a, the order a Hadamard matrix (or skew-conference matrix)
-needs.
+(sum f) / 2 mod 2: one linear equation over GF(2) per pair.  The one
+pass that files each summand under its later edge for the search also
+XORs its two edge bits into its pair's equation.  The equations are
+eliminated with each row's pivot at its highest edge position.  An odd
+sum f or an inconsistent row proves that no orientation exists, before
+any bit is tried.  That covers the classical necessary conditions:
+K_{a,a} and K_a with a > 2 come out empty unless 4 divides a, the order
+a Hadamard matrix (or skew-conference matrix) needs.
 
 Search.  Bits are assigned in edge order, depth first, bit 0 before
 bit 1, maintaining per vertex pair the partial sum of resolved summands.
@@ -68,27 +69,15 @@ class SearchResult:
         return self.orientation is not None
 
 
-def _mod4_pivots(m: int, pair, e_i, e_j, sign) -> dict[int, tuple[int, int]] | None:
-    # The S S^T = k I condition mod 4 over GF(2), one row per vertex pair:
-    # a bitset of edges (the XOR of each summand's two edge bits) and a
-    # right-hand side.  Returns {pivot edge: (row, rhs)}, the pivot being
-    # the row's highest edge after elimination, or None when the system
-    # has no solution.
-    total = np.bincount(pair, weights=sign).astype(np.int64)
-    if np.any(total % 2):
-        return None
-    rhs = (total // 2) % 2
-    ends = np.concatenate((pair, pair))
-    by_pair = np.argsort(ends, kind="stable")
-    edge_bit = np.left_shift(1, np.arange(m).astype(object))
-    rows = np.bitwise_xor.reduceat(
-        edge_bit[np.concatenate((e_i, e_j))[by_pair]],
-        np.searchsorted(ends[by_pair], np.arange(total.size)),
-    )
+def _mod4_pivots(rows: list[int], rhs: list[int]) -> dict[int, tuple[int, int]] | None:
+    # Elimination over GF(2) of the S S^T = k I condition mod 4, one row
+    # per vertex pair: a bitset of edges and a right-hand side.  Returns
+    # {pivot edge: (row, rhs)}, the pivot being the row's highest edge
+    # after elimination, or None when the system has no solution.
     # Identical rows, such as a 4-cycle's seen from both its diagonals,
     # are reduced once.
     pivots: dict[int, tuple[int, int]] = {}
-    for row, b in dict.fromkeys(zip(rows.tolist(), rhs.tolist())):
+    for row, b in dict.fromkeys(zip(rows, rhs)):
         while row:
             top = row.bit_length() - 1
             if top not in pivots:
@@ -116,14 +105,33 @@ def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchRe
         raise NotRegularError("graph is not regular")
     m = g.m
     if m == 0:
-        return SearchResult(OrientedGraph(g, ()), 0, True)
+        return SearchResult(OrientedGraph(g, ()), 0, exhausted=False)
 
     # One constraint per vertex pair with a common neighbor, numbered in
     # (i, j) order.  A presolve proof of infeasibility ends the search
-    # before any state, whatever the budget.
-    i, j, e_i, e_j, sign = gram_terms(g)
+    # before any state, whatever the budget: an odd sum of signs before
+    # the table is built, an inconsistent GF(2) system after it.
+    terms = zip(*gram_terms(OrientedGraph(g, (0,) * m)))
+    i, j, e_i, e_j, sign = map(np.concatenate, terms)
     _, pair, pending = np.unique(i * g.n + j, return_inverse=True, return_counts=True)
-    pivots = _mod4_pivots(m, pair, e_i, e_j, sign)
+    total = np.bincount(pair, weights=sign).astype(np.int64)
+    if np.any(total % 2):
+        return SearchResult(None, 0, exhausted=True)
+
+    # Each summand is keyed to the later of its two edges, the moment it
+    # becomes known, in ascending pair order, and carries the number of
+    # its pair's summands still unresolved once it is added.  The same
+    # pass XORs its two edge bits into its pair's GF(2) row.
+    later = np.maximum(e_i, e_j)
+    table = np.stack((later, pair, np.minimum(e_i, e_j), sign), axis=1)
+    terms_by_edge: list[list[tuple[int, int, int, int]]] = [[] for _ in range(m)]
+    pending = pending.tolist()
+    rows = [0] * len(pending)
+    for e, p, other, f in table[np.lexsort((pair, later))].tolist():
+        pending[p] -= 1
+        rows[p] ^= 1 << e | 1 << other
+        terms_by_edge[e].append((p, other, f, pending[p]))
+    pivots = _mod4_pivots(rows, (total // 2 % 2).tolist())
     if pivots is None:
         return SearchResult(None, 0, exhausted=True)
     # A pivot edge's x is (-1)^rhs times the product of x over the rest
@@ -137,17 +145,6 @@ def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchRe
             others.append(low.bit_length() - 1)
             row ^= low
         forced[e] = (1 - 2 * b, others)
-
-    # Each summand is keyed to the later of its two edges, the moment it
-    # becomes known, in ascending pair order, and carries the number of
-    # its pair's summands still unresolved once it is added.
-    later = np.maximum(e_i, e_j)
-    table = np.stack((later, pair, np.minimum(e_i, e_j), sign), axis=1)
-    terms_by_edge: list[list[tuple[int, int, int, int]]] = [[] for _ in range(m)]
-    pending = pending.tolist()
-    for e, p, other, f in table[np.lexsort((pair, later))].tolist():
-        pending[p] -= 1
-        terms_by_edge[e].append((p, other, f, pending[p]))
 
     # Depth-first over edges with an explicit stack: x[e] = 1 - 2 * bit
     # of edge e, and added[e] counts the summands its current bit added,

@@ -9,8 +9,10 @@ rounding: the eigenvalues of the symmetric positive semidefinite matrix
 S S^T are the squared magnitudes, each nonzero one with even multiplicity,
 so adjacent square roots are averaged into one magnitude per +/- pair.
 
-The off-diagonal terms of S S^T come from one kernel, :func:`gram_terms`,
-read by the exact certificate, the dense gram and the orientation search.
+The off-diagonal terms of S S^T come from one stream, :func:`gram_terms`,
+which yields them oriented, in blocks of whole rows of O(n^2) terms.  The
+exact certificate and the dense gram read it a block at a time, and the
+orientation search reads all of it for the all-zero orientation.
 Skew energy is certificate first: the integer test S S^T = k I
 (:func:`is_gram_scalar`) runs before any eigensolve, with no n x n
 array.  When it holds, the spectrum is +/-sqrt(k) with multiplicity n/2
@@ -84,72 +86,67 @@ def adjacency_spectrum(g: Graph) -> Spectrum:
     return symmetric_eigenvalues(adjacency_matrix(g))
 
 
-def _column_entries(g: Graph):
-    # The nonzero entries of S for the all-zero orientation, column by
-    # column with rows ascending: row, edge position, sign, and how many
-    # later entries share the column.
+def _column_entries(og: OrientedGraph):
+    # The nonzero entries of S, column by column with rows ascending: row,
+    # edge position, value, and how many later entries share the column.
+    g = og.graph
     ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
     rows, cols = np.concatenate((ends, ends[:, ::-1])).T
     by_col = np.lexsort((rows, cols))
     rows, cols, edge = rows[by_col], cols[by_col], np.tile(np.arange(g.m), 2)[by_col]
     later = np.cumsum(np.bincount(cols, minlength=g.n))[cols] - np.arange(cols.size) - 1
-    return rows, edge, np.where(rows < cols, 1, -1), later
+    flip = 1 - 2 * np.array(og.direction, dtype=np.int64)
+    return rows, edge, np.where(rows < cols, 1, -1) * flip[edge], later
 
 
-def _pairs(later, first):
+def _pairs(rows, edge, value, later, first):
     # Entry a pairs with every later entry b of its own column, for each
-    # a in `first`.
+    # a in `first`.  Only the gathered terms are returned, so the pair
+    # indices are gone while the caller holds them.
     count = later[first]
     a = np.repeat(first, count)
-    return a, a + 1 + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+    return rows[a], rows[b], edge[a], edge[b], value[a] * value[b]
 
 
-def gram_terms(g: Graph):
+def gram_terms(og: OrientedGraph):
     """The terms S[i, t] * S[j, t] of S S^T, over neighbour pairs i < j of t.
 
-    Returns int64 arrays ``(i, j, e_i, e_j, f)``: the rows, the positions
-    of the edges {i, t} and {j, t}, and the term when every arc runs from
-    its smaller end; a direction bit b on either edge multiplies it by
-    1 - 2b.  Terms come column by column, (i, j) ascending in each.
+    Yields blocks of int64 arrays ``(i, j, e_i, e_j, f)``: the rows, the
+    positions of the edges {i, t} and {j, t}, and the term under ``og``;
+    flipping the direction bit of either edge negates it.  A block holds
+    whole rows i and at most n^2 terms (one row has fewer: at most n - 1
+    columns, each pairing it with fewer than n - 1 rows), so every pair
+    (i, j) lies in one block and the terms held at once stay O(n^2) even
+    where the sum of C(deg, 2) over the columns is O(n^3).
     """
-    rows, edge, sign, later = _column_entries(g)
-    a, b = _pairs(later, np.arange(rows.size))
-    return rows[a], rows[b], edge[a], edge[b], sign[a] * sign[b]
-
-
-def _oriented_blocks(og: OrientedGraph):
-    # The oriented gram_terms as ((i, j), term) in blocks of whole rows i,
-    # each of at most n^2 terms unless one row alone has more.  Every pair
-    # (i, j) lies in one block, and the terms held at once stay O(n^2)
-    # even where the sum of C(deg, 2) over the columns is O(n^3).
     n = og.n
-    rows, edge, sign, later = _column_entries(og.graph)
-    s = sign * (1 - 2 * np.array(og.direction, dtype=np.int64))[edge]
+    rows, edge, value, later = _column_entries(og)
     by_row = np.argsort(rows, kind="stable")
     row_at = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     row_terms = np.bincount(rows, weights=later, minlength=n).astype(np.int64)
     terms_before = np.concatenate(([0], np.cumsum(row_terms)))
     r0 = 0
     while r0 < n:
-        r1 = np.searchsorted(terms_before, terms_before[r0] + n * n, side="right") - 1
-        r1 = max(int(r1), r0 + 1)
-        a, b = _pairs(later, by_row[row_at[r0] : row_at[r1]])
-        yield (rows[a], rows[b]), s[a] * s[b]
+        r1 = int(np.searchsorted(terms_before, terms_before[r0] + n * n, "right")) - 1
+        yield _pairs(rows, edge, value, later, by_row[row_at[r0] : row_at[r1]])
         r0 = r1
 
 
 def skew_gram(og: OrientedGraph) -> np.ndarray:
     """S S^T over the integers, S the skew-symmetric matrix of ``og``.
 
-    The degree sequence on the diagonal plus the oriented
-    :func:`gram_terms` off it, scattered a block of rows at a time, so
-    no dense S is built and memory stays O(n^2) on dense graphs.  Raises
-    :class:`BudgetExceededError` above ``ORDER_CAP`` before allocating.
+    The degree sequence on the diagonal plus the :func:`gram_terms` off
+    it, scattered a block at a time, so no dense S is built and memory
+    stays O(n^2) on dense graphs.  Raises :class:`BudgetExceededError`
+    above ``ORDER_CAP`` before allocating.
     """
     _require_dense_order(og.n)
     upper = np.zeros((og.n, og.n), dtype=np.int64)
-    for ij, terms in _oriented_blocks(og):
-        np.add.at(upper, ij, terms)
+    for block in gram_terms(og):
+        np.add.at(upper, block[:2], block[4])
+        # Held neither while the next block is built nor by the sum below.
+        del block
     gram = upper + upper.T
     gram[np.diag_indices(og.n)] = og.graph.degrees()
     return gram
@@ -237,8 +234,8 @@ def is_gram_scalar(og: OrientedGraph, k: int | None = None) -> bool:
     S S^T is the degree sequence, so no other k can work); a non-regular
     graph then raises :class:`NotRegularError`.  A degree other than
     ``k`` fails at once.  Otherwise the test holds exactly when the
-    oriented :func:`gram_terms` sum to 0, in int64, for every pair (i, j);
-    they are summed a block of rows at a time, in O(n^2) memory at most.
+    :func:`gram_terms` sum to 0, in int64, for every pair (i, j); they
+    are summed a block at a time, in O(n^2) memory at most.
     """
     if k is None:
         k = og.graph.regular_degree()
@@ -246,11 +243,11 @@ def is_gram_scalar(og: OrientedGraph, k: int | None = None) -> bool:
             raise NotRegularError("graph is not regular")
     if any(d != k for d in og.graph.degrees()):
         return False
-    for (i, j), terms in _oriented_blocks(og):
+    for i, j, _, _, f in gram_terms(og):
         keys = i * og.n + j
         by_key = np.argsort(keys)
         starts = np.flatnonzero(np.diff(keys[by_key], prepend=-1))
-        if np.add.reduceat(terms[by_key], starts).any():
+        if np.add.reduceat(f[by_key], starts).any():
             return False
     return True
 

@@ -393,6 +393,26 @@ class TestInputErrors:
         assert "line 2" in err
 
 
+class TestInternalErrors:
+    def test_unexpected_exception_is_exit_4(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("skewspec.cli.switching_equivalent", fail)
+        code, doc, err = invoke(capsys, "equiv", C6_ELEM, C6_R2)
+        assert code == 4 and doc is None
+        assert err == "error: internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_propagate(self, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("skewspec.cli.switching_equivalent", fail)
+        with pytest.raises(exc):
+            run(["equiv", C6_ELEM, C6_R2])
+
+
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         template, expected = ("check", "q3_elementary.og"), 0

@@ -20,7 +20,6 @@ from skewspec import (
     skew_gram,
 )
 from skewspec.search import _mod4_pivots
-from skewspec.spectra import gram_terms
 
 
 class TestSearchFinds:
@@ -70,8 +69,11 @@ class TestSearchFinds:
         assert a == b
 
     def test_edgeless(self):
-        res = find_max_energy_orientation(build_graph(3, []))
-        assert res.found and res.orientation.direction == ()
+        # Found like any other success: exhausted is False.
+        for n in (0, 1, 3):
+            res = find_max_energy_orientation(build_graph(n, []))
+            assert res.found and res.orientation.direction == ()
+            assert (res.states, res.exhausted) == (0, False)
 
 
 @pytest.mark.parametrize(
@@ -199,10 +201,17 @@ def test_hypercube_mod4_solutions_are_one_switching_class(d):
     # lies in the mod-4 solution space.  Equal dimensions mean every
     # orientation of Q_d with S S^T = d I is switching-equivalent to the
     # one the search returns, which it reaches without backtracking.
+    # The rows are built here from the neighbour lists, with the
+    # all-zero orientation's signs: S[i, t] S[j, t] is -1 just when
+    # i < t < j.
     g = hypercube(d)
-    i, j, e_i, e_j, sign = gram_terms(g)
-    _, pair = np.unique(i * g.n + j, return_inverse=True)
-    pivots = _mod4_pivots(g.m, pair, e_i, e_j, sign)
+    rows, total = {}, {}
+    for t in range(g.n):
+        for i, j in itertools.combinations(g.neighbors(t), 2):
+            bits = 1 << g.edge_index(i, t) ^ 1 << g.edge_index(j, t)
+            rows[i, j] = rows.get((i, j), 0) ^ bits
+            total[i, j] = total.get((i, j), 0) + (-1 if i < t < j else 1)
+    pivots = _mod4_pivots(list(rows.values()), [total[p] // 2 % 2 for p in rows])
     assert g.m - len(pivots) == g.n - 1
     res = find_max_energy_orientation(g, budget=g.m)
     assert res.found and res.states == g.m

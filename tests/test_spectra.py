@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from skewspec import (
     spectrum_energy,
     symmetric_eigenvalues,
 )
+from skewspec.spectra import gram_terms
 from oracles import all_orientations, direct_skew_spectrum
 from strategies import graphs, oriented_graphs
 
@@ -218,6 +219,48 @@ def peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+def paley_with_source():
+    # The Paley tournament on Z_7 (i -> j when j - i is a square) plus a
+    # source: S S^T = 7 I.
+    arcs = [(i, (i + d) % 7) for i in range(7) for d in (1, 2, 4)]
+    return from_arcs(8, arcs + [(7, i) for i in range(7)])
+
+
+def column_terms(og):
+    # The gram terms one column at a time from the neighbour lists and the
+    # dense S, sorted.
+    g, s = og.graph, skew_adjacency(og)
+    return sorted(
+        (i, j, g.edge_index(i, t), g.edge_index(j, t), int(s[i, t] * s[j, t]))
+        for t in range(g.n)
+        for i, j in combinations(g.neighbors(t), 2)
+    )
+
+
+def check_term_stream(og):
+    # Returns the number of blocks.
+    blocks = list(gram_terms(og))
+    assert all(col.dtype == np.int64 for block in blocks for col in block)
+    terms = [list(zip(*(col.tolist() for col in block))) for block in blocks]
+    assert sorted(t for block in terms for t in block) == column_terms(og)
+    pairs = [{t[:2] for t in block} for block in terms]
+    assert sum(map(len, pairs)) == len(set().union(*pairs))
+    assert all(len(block) <= og.n**2 for block in terms)
+    return len(blocks)
+
+
+class TestGramTerms:
+    @given(gram_cases())
+    def test_each_term_once_and_each_pair_in_one_block(self, case):
+        check_term_stream(case[0])
+
+    def test_dense_graphs_span_several_blocks(self):
+        k7 = complete(7)
+        og = OrientedGraph(k7, tuple((u * 3 + v) % 2 for u, v in k7.edges))
+        assert check_term_stream(og) > 1
+        assert check_term_stream(paley_with_source()) > 1
+
+
 class TestGramScalar:
     def test_explicit_k(self):
         og = from_arcs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -253,11 +296,8 @@ class TestGramScalar:
         assert np.array_equal(skew_gram(og), s @ s.T)
 
     def test_paley_tournament_certified_across_row_blocks(self):
-        # The Paley tournament on Z_7 (i -> j when j - i is a square) plus
-        # a source has S S^T = 7 I; its 168 terms span several blocks of
-        # at most n^2 = 64.
-        arcs = [(i, (i + d) % 7) for i in range(7) for d in (1, 2, 4)]
-        og = from_arcs(8, arcs + [(7, i) for i in range(7)])
+        # 168 terms in several blocks of at most n^2 = 64.
+        og = paley_with_source()
         assert is_gram_scalar(og, 7)
         assert np.array_equal(skew_gram(og), 7 * np.eye(8, dtype=np.int64))
         flipped = OrientedGraph(og.graph, (1,) + og.direction[1:])
