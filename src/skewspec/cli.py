@@ -17,6 +17,7 @@ then 1e-8.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -261,7 +262,10 @@ def _cmd_equiv(args):
     return doc, 0 if result else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser as it was and
+    # returns a fresh Namespace, so one parser serves every call of run().
     parser = argparse.ArgumentParser(
         prog="skewspec",
         description="Skew spectra, switching equivalence, oriented products, "

@@ -38,10 +38,13 @@ def _normalize_edges(n: int, edges: Iterable) -> tuple[tuple[int, int], ...]:
     seen = set()
     out = []
     for e in edges:
-        pair = sorted(int(x) for x in e)
-        if len(pair) != 2:
-            raise ValueError(f"edge {e!r} is not a pair")
-        u, v = pair
+        try:
+            a, b = e
+        except ValueError:
+            raise ValueError(f"edge {e!r} is not a pair") from None
+        u, v = int(a), int(b)
+        if u > v:
+            u, v = v, u
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         if u < 0 or v >= n:

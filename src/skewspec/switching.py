@@ -16,7 +16,7 @@ non-equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     CapExceededError,
@@ -113,19 +113,13 @@ def switching_equivalent(
     return SwitchWitness(tuple(v for v, s in enumerate(side) if s))
 
 
-def chordless_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleWalk]:
-    """All chordless cycles of ``g`` (induced cycles, including triangles).
-
-    Each cycle appears once, in canonical form: it starts at its minimum
-    vertex and runs toward the smaller of that vertex's two cycle
-    neighbors.  Enumeration grows induced paths from each start vertex u0
-    using only vertices above u0; since a chord to u0 is forbidden, any
-    neighbor of u0 met along the way can only close the cycle.  Raises
-    :class:`CapExceededError` carrying the partial list when more than
-    ``cap`` cycles exist.
-    """
-    out: list[CycleWalk] = []
+def _chordless_walks(g: Graph) -> Iterator[tuple[int, ...]]:
+    # The enumeration behind chordless_cycles, one vertex tuple at a time
+    # in canonical form, so a reader can stop at any cycle.
     adj = [g.neighbors(v) for v in range(g.n)]
+    # chords[w] counts the interior vertices of the path (all but its two
+    # ends) adjacent to w.
+    chords = [0] * g.n
     # Depth-first with an explicit stack: stack[d] iterates the neighbours
     # of path[d + 1], so no cycle length hits a recursion limit.
     starts = [(u0, u1) for u0 in range(g.n) for u1 in adj[u0] if u1 > u0]
@@ -138,16 +132,14 @@ def chordless_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleWalk]:
                     continue
                 # A chord from w to any interior vertex kills both closing
                 # and extending through w.
-                if not adj[w].isdisjoint(path[1:-1]):
+                if chords[w]:
                     continue
                 if u0 in adj[w]:
                     if w > u1:
-                        if len(out) >= cap:
-                            raise CapExceededError(
-                                f"more than {cap} chordless cycles", cycles=list(out)
-                            )
-                        out.append(CycleWalk(tuple(path) + (w,)))
+                        yield tuple(path) + (w,)
                     continue
+                for x in adj[path[-1]]:
+                    chords[x] += 1
                 path.append(w)
                 in_path.add(w)
                 stack.append(iter(adj[w]))
@@ -155,6 +147,29 @@ def chordless_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleWalk]:
             else:
                 stack.pop()
                 in_path.discard(path.pop())
+                if stack:
+                    for x in adj[path[-1]]:
+                        chords[x] -= 1
+
+
+def chordless_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleWalk]:
+    """All chordless cycles of ``g`` (induced cycles, including triangles).
+
+    Each cycle appears once, in canonical form: it starts at its minimum
+    vertex and runs toward the smaller of that vertex's two cycle
+    neighbors.  Enumeration grows induced paths from each start vertex u0
+    using only vertices above u0; since a chord to u0 is forbidden, any
+    neighbor of u0 met along the way can only close the cycle.  Raises
+    :class:`CapExceededError` carrying the partial list when more than
+    ``cap`` cycles exist.  :func:`all_chordless_uniform` tests the same
+    cycles in the same order as they are found, so there ``cap`` binds a
+    false verdict only when no non-uniform cycle turns up first.
+    """
+    out: list[CycleWalk] = []
+    for vs in _chordless_walks(g):
+        if len(out) >= cap:
+            raise CapExceededError(f"more than {cap} chordless cycles", cycles=out)
+        out.append(CycleWalk(vs))
     return out
 
 
@@ -165,6 +180,19 @@ def _validate_cycle(g: Graph, c: CycleWalk) -> None:
     for u, v in c.edges():
         if not g.has_edge(u, v):
             raise NotACycleError(f"({u}, {v}) is not an edge")
+
+
+def _uniform(og: OrientedGraph, vs: tuple[int, ...]) -> bool:
+    # The parity rule of is_uniformly_oriented for a walk already known to
+    # be an even cycle of og.  Bit 0 stores the arc u -> v of an edge
+    # (u, v) with u < v, so the arc runs along the step u -> v exactly
+    # when its bit equals (u > v).
+    inc, bits = og.graph._incidence, og.direction
+    r, u = 0, vs[-1]
+    for v in vs:
+        r += bits[inc[u][v]] == (u > v)
+        u = v
+    return r % 2 == len(vs) // 2 % 2
 
 
 def is_uniformly_oriented(og: OrientedGraph, c: CycleWalk) -> bool:
@@ -179,23 +207,32 @@ def is_uniformly_oriented(og: OrientedGraph, c: CycleWalk) -> bool:
     _validate_cycle(og.graph, c)
     if len(c) % 2:
         raise OddCycleError(f"cycle length {len(c)} is odd")
-    half = len(c) // 2
-    r = 0
-    for u, v in c.edges():
-        i = og.graph.edge_index(u, v)
-        forward = og.direction[i] == (1 if u > v else 0)
-        r += forward
-    return r % 2 == half % 2
+    return _uniform(og, c.vertices)
 
 
 def all_chordless_uniform(og: OrientedGraph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
     """Whether every chordless cycle is uniformly oriented.
 
     Requires a bipartite underlying graph (so every cycle is even);
-    vacuously true on forests.
+    vacuously true on forests.  Each cycle is tested as it is enumerated,
+    in the order of :func:`chordless_cycles`, and the first non-uniform
+    one decides ``False``.  So ``cap`` binds a false verdict only when no
+    non-uniform cycle turns up first: past ``cap`` uniform cycles this
+    raises :class:`CapExceededError` carrying them, as it does for a true
+    verdict on more than ``cap`` cycles.
     """
     bipartition(og.graph)
-    return all(is_uniformly_oriented(og, c) for c in chordless_cycles(og.graph, cap))
+    seen: list[tuple[int, ...]] = []
+    for vs in _chordless_walks(og.graph):
+        if len(seen) >= cap:
+            raise CapExceededError(
+                f"more than {cap} chordless cycles",
+                cycles=[CycleWalk(c) for c in seen],
+            )
+        if not _uniform(og, vs):
+            return False
+        seen.append(vs)
+    return True
 
 
 def matches_adjacency_spectrum(og: OrientedGraph, tol: float = 1e-8) -> bool:

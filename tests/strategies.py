@@ -26,3 +26,19 @@ def oriented_graphs(draw, min_n: int = 1, max_n: int = 8) -> OrientedGraph:
 def vertex_subsets(draw, n: int) -> list[int]:
     mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return [v for v, keep in enumerate(mask) if keep]
+
+
+@st.composite
+def bipartite_oriented_graphs(
+    draw, min_n: int = 1, max_n: int = 8
+) -> OrientedGraph:
+    """An oriented graph with only the edges across a drawn two-colouring."""
+    og = draw(oriented_graphs(min_n, max_n))
+    side = draw(st.lists(st.booleans(), min_size=og.n, max_size=og.n))
+    kept = [
+        (e, b)
+        for e, b in zip(og.graph.edges, og.direction)
+        if side[e[0]] != side[e[1]]
+    ]
+    g = build_graph(og.n, [e for e, _ in kept])
+    return OrientedGraph(g, tuple(b for _, b in kept))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 
@@ -108,6 +109,51 @@ class TestCheck:
         code, _, err = invoke(capsys, "check", str(f))
         assert code == 2
         assert err.startswith("error:")
+
+    def test_dense_cycle_false_verdict(self, capsys, tmp_path):
+        # The k44 r=2 member has more than 10^6 chordless cycles (the
+        # default cap), and the second one found is not uniform.
+        out = str(tmp_path / "k44r2.og")
+        assert invoke(capsys, "family", out, "--base", "k44", "--r", "2")[0] == 0
+        code, doc, _ = invoke(capsys, "check", out)
+        assert code == 1
+        assert doc["consistent"] is True
+        assert doc["spectral_match"] is False
+        assert doc["all_chordless_uniform"] is False
+        assert doc["equivalent_to_elementary"] is False
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        invoke(capsys, "check", C4_ELEM)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ArgumentParser built again")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        assert invoke(capsys, "check", C4_ELEM)[0] == 0
+
+    def test_options_do_not_leak_into_the_next_call(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv("SKEWSPEC_TOL", raising=False)
+        _, doc, _ = invoke(capsys, "check", "--tol", "1e-4", "--timing", C4_ELEM)
+        assert doc["tol"] == 1e-4 and "timing_seconds" in doc
+        _, doc, _ = invoke(capsys, "check", C4_ELEM)
+        assert doc["tol"] == 1e-8 and "timing_seconds" not in doc
+
+        _, doc, _ = invoke(capsys, "spectrum", "--adjacency", C4_ODD)
+        assert doc["kind"] == "adjacency"
+        _, doc, _ = invoke(capsys, "spectrum", C4_ODD)
+        assert doc["kind"] == "skew"
+
+        out = str(tmp_path / "f.og")
+        with pytest.raises(SystemExit) as exc:
+            run(["family", out, "--base", "zz", "--r", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, doc, _ = invoke(capsys, "family", out, "--base", "k4", "--r", "1")
+        assert code == 0 and doc["base"] == "k4"
 
 
 class TestToleranceResolution:

@@ -57,6 +57,27 @@ class TestBuildGraph:
         with pytest.raises(VertexOutOfRangeError):
             build_graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize(
+        "edges, exc, message",
+        [
+            ([(0, 1, 2)], ValueError, "edge (0, 1, 2) is not a pair"),
+            ([(0,)], ValueError, "edge (0,) is not a pair"),
+            ([(1, 1)], SelfLoopError, "self-loop at vertex 1"),
+            ([(5, 0)], VertexOutOfRangeError, "edge (0, 5) outside 0..2"),
+            ([(-1, 2)], VertexOutOfRangeError, "edge (-1, 2) outside 0..2"),
+            ([(0, 1), (1, 0)], DuplicateEdgeError, "edge (0, 1) listed twice"),
+            # Checked in order: pair, then self-loop, range, duplicate.
+            ([(1, 1, 1)], ValueError, "edge (1, 1, 1) is not a pair"),
+            ([(5, 5)], SelfLoopError, "self-loop at vertex 5"),
+            ([(0, 5), (0, 5)], VertexOutOfRangeError, "edge (0, 5) outside 0..2"),
+        ],
+    )
+    def test_rejection_messages(self, edges, exc, message):
+        with pytest.raises(exc) as info:
+            build_graph(3, edges)
+        assert type(info.value) is exc
+        assert str(info.value) == message
+
     def test_degrees_and_lookup(self):
         g = path(4)
         assert g.degrees() == (1, 2, 2, 1)

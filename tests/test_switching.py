@@ -7,6 +7,7 @@ from hypothesis import given
 from skewspec import (
     CapExceededError,
     CycleWalk,
+    FamilySpec,
     GraphMismatchError,
     NotACycleError,
     NotBipartiteError,
@@ -25,6 +26,7 @@ from skewspec import (
     elementary_orientation,
     equivalent_to_elementary,
     from_arcs,
+    generate_family,
     hypercube,
     is_uniformly_oriented,
     matches_adjacency_spectrum,
@@ -33,7 +35,7 @@ from skewspec import (
     switching_equivalent,
 )
 from oracles import all_orientations, all_simple_cycles, brute_induced_cycles
-from strategies import oriented_graphs, vertex_subsets
+from strategies import bipartite_oriented_graphs, oriented_graphs, vertex_subsets
 
 
 class TestSwitch:
@@ -324,3 +326,25 @@ class TestPredicates:
                 )
                 assert every_cycle == matches_adjacency_spectrum(og, 1e-8)
                 assert every_cycle == all_chordless_uniform(og)
+
+
+class TestStreamedVerdict:
+    def test_first_non_uniform_cycle_decides(self):
+        # The c4 r=2 member has 23,992 chordless cycles and the first one
+        # found is not uniform, so a cap of 10 is never reached.
+        og = generate_family(FamilySpec("c4", 2)).orientation
+        assert not all_chordless_uniform(og, cap=10)
+
+    def test_cap_binds_when_every_cycle_is_uniform(self):
+        g = hypercube(5)
+        with pytest.raises(CapExceededError) as exc:
+            all_chordless_uniform(elementary_orientation(g), cap=10)
+        with pytest.raises(CapExceededError) as listed:
+            chordless_cycles(g, cap=10)
+        assert exc.value.cycles == listed.value.cycles
+
+    @given(bipartite_oriented_graphs())
+    def test_agrees_with_the_full_enumeration(self, og):
+        assert all_chordless_uniform(og) == all(
+            is_uniformly_oriented(og, c) for c in chordless_cycles(og.graph)
+        )
