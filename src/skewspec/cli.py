@@ -90,11 +90,6 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _spectrum_route(report) -> str:
-    # skew_energy solves nothing when the exact certificate holds.
-    return "certificate" if report.exact_certificate else "dense"
-
-
 def _cmd_spectrum(args):
     obj = _load(args.file)
     oriented = isinstance(obj, OrientedGraph)
@@ -118,7 +113,7 @@ def _cmd_spectrum(args):
         doc["maximum"] = report.exact_certificate
         doc["certificate"] = report.exact_certificate
         if args.timing:
-            doc["spectrum_route"] = _spectrum_route(report)
+            doc["spectrum_route"] = report.route
     return doc, 0
 
 
@@ -190,7 +185,7 @@ def _cmd_family(args):
         "certificate": report.exact_certificate,
     }
     if args.timing:
-        doc["spectrum_route"] = _spectrum_route(report)
+        doc["spectrum_route"] = report.route
     consistent = (
         og.n == result.order
         and og.graph.regular_degree() == result.degree

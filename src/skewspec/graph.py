@@ -83,6 +83,13 @@ class Graph:
             inc[u][v] = inc[v][u] = i
         return inc
 
+    @cached_property
+    def _two_coloring(self) -> tuple[Bipartition | None, tuple[int, ...] | None]:
+        # The canonical bipartition and no cycle, or no bipartition and an
+        # odd cycle: one colouring per graph, whoever asks first.
+        side, cycle = parity_coloring(self, (1,) * self.m)
+        return (None if side is None else Bipartition(side)), cycle
+
     def neighbors(self, v: int) -> KeysView[int]:
         """Read-only ascending view of the neighbours of ``v``."""
         return self._incidence[v].keys()
@@ -288,15 +295,16 @@ def bipartition(g: Graph) -> Bipartition:
     """Canonical two-coloring by breadth-first search per component.
 
     The minimum-index vertex of each component gets label X, so the result
-    is a deterministic function of the graph.  Raises
+    is a deterministic function of the graph, computed once per graph and
+    cached on it.  Raises
     :class:`NotBipartiteError` with an odd-cycle witness otherwise.
     """
-    side, cycle = parity_coloring(g, (1,) * g.m)
-    if side is None:
+    b, cycle = g._two_coloring
+    if b is None:
         raise NotBipartiteError(
             f"graph is not bipartite: odd cycle {cycle}", odd_cycle=cycle
         )
-    return Bipartition(side)
+    return b
 
 
 def elementary_orientation(g: Graph, b: Bipartition | None = None) -> OrientedGraph:

@@ -5,20 +5,25 @@ eigenvalues that pair up as +i*m and -i*m.  We represent that spectrum by
 its imaginary parts: a descending list that is exactly antisymmetric
 (values come in +/- pairs, with an exact 0.0 in the middle when the vertex
 count is odd).  Exactness of the pairing is enforced structurally, not by
-rounding: the eigenvalues of the symmetric positive semidefinite matrix
-S S^T are the squared magnitudes, each nonzero one with even multiplicity,
-so adjacent square roots are averaged into one magnitude per +/- pair.
+rounding.  A spectrum is found by one of three routes:
+
+- certificate: skew energy runs the integer test S S^T = k I
+  (:func:`is_gram_scalar`) first, with no n x n array.  When it holds,
+  the spectrum is +/-sqrt(k) with multiplicity n/2 each and the energy is
+  the n * sqrt(k) bound, so nothing is solved.
+- bipartite: in X/Y order S = [[0, B], [-B^T, 0]] and A = [[0, |B|],
+  [|B|^T, 0]], so both spectra are +/- the singular values of one
+  n_X x n_Y block, the square roots of the eigenvalues of a
+  min(n_X, n_Y) square gram, and the rest exact zeros.
+- dense: any other graph solves n x n.  The eigenvalues of the symmetric
+  positive semidefinite S S^T are the squared magnitudes, each nonzero one
+  with even multiplicity, so adjacent square roots are averaged into one
+  magnitude per +/- pair; the adjacency spectrum solves A.
 
 The off-diagonal terms of S S^T come from one stream, :func:`gram_terms`,
 which yields them oriented, in blocks of whole rows of O(n^2) terms.  The
 exact certificate and the dense gram read it a block at a time, and the
 orientation search reads all of it for the all-zero orientation.
-Skew energy is certificate first: the integer test S S^T = k I
-(:func:`is_gram_scalar`) runs before any eigensolve, with no n x n
-array.  When it holds, the spectrum is +/-sqrt(k) with multiplicity n/2
-each and the energy is the n * sqrt(k) bound, so nothing is solved.
-Only an uncertified orientation goes to the dense route,
-:func:`skew_spectrum` on :func:`skew_gram`.
 """
 
 from __future__ import annotations
@@ -28,7 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAntisymmetricError, NotRegularError, NotSymmetricError
-from .graph import Graph, OrientedGraph, _require_dense_order, adjacency_matrix
+from .graph import (
+    X,
+    Y,
+    Bipartition,
+    Graph,
+    OrientedGraph,
+    _require_dense_order,
+    adjacency_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -82,7 +95,18 @@ def symmetric_eigenvalues(mat: np.ndarray) -> Spectrum:
 
 
 def adjacency_spectrum(g: Graph) -> Spectrum:
-    """Eigenvalues of the adjacency matrix, descending."""
+    """Eigenvalues of the adjacency matrix, descending.
+
+    A bipartite graph takes the half-order route on ``|B|``
+    (:func:`skew_spectrum` describes it), so its spectrum is exactly
+    antisymmetric; any other graph solves the n x n adjacency matrix.
+    Raises :class:`BudgetExceededError` above ``ORDER_CAP`` on either
+    route, before allocating.
+    """
+    _require_dense_order(g.n)
+    b = g._two_coloring[0]
+    if b is not None:
+        return _half_order_spectrum(g, b, None)
     return symmetric_eigenvalues(adjacency_matrix(g))
 
 
@@ -141,14 +165,28 @@ def skew_gram(og: OrientedGraph) -> np.ndarray:
     stays O(n^2) on dense graphs.  Raises :class:`BudgetExceededError`
     above ``ORDER_CAP`` before allocating.
     """
-    _require_dense_order(og.n)
-    upper = np.zeros((og.n, og.n), dtype=np.int64)
+    n = og.n
+    _require_dense_order(n)
+    upper = np.zeros((n, n), dtype=np.int64)
+    # Rows summed per bincount, so its dense output stays n^2 / 16 at most.
+    step = max(1, n // 16)
     for block in gram_terms(og):
-        np.add.at(upper, block[:2], block[4])
-        # Held neither while the next block is built nor by the sum below.
+        i, f = block[0], block[4]
+        keys = i * n + block[1]
         del block
+        # A block's rows i are ascending and no other block has them, so
+        # each run of rows fills its own rows of upper.  Each sum is of
+        # fewer than n terms of +/-1, exact in float64 and in the cast.
+        for r0 in range(int(i[0]), int(i[-1]) + 1, step) if i.size else ():
+            r1 = min(r0 + step, n)
+            a, b = np.searchsorted(i, (r0, r1))
+            upper[r0:r1] = np.bincount(
+                keys[a:b] - r0 * n, weights=f[a:b], minlength=(r1 - r0) * n
+            ).reshape(r1 - r0, n)
+        # Held neither while the next block is built nor by the sum below.
+        del i, f, keys
     gram = upper + upper.T
-    gram[np.diag_indices(og.n)] = og.graph.degrees()
+    gram[np.diag_indices(n)] = og.graph.degrees()
     return gram
 
 
@@ -164,24 +202,82 @@ def paired_spectrum(mags_desc, total: int) -> Spectrum:
     return Spectrum(tuple(pos) + tuple(mid) + tuple(neg))
 
 
+def _magnitudes(gram: np.ndarray, n: int) -> list[float]:
+    # Square roots of the eigenvalues of a positive semidefinite gram of a
+    # graph of order n, descending.  Eigenvalues below the solver's
+    # resolution are zeros of the exact matrix; flooring them here matters
+    # because the square root would otherwise turn an O(eps)-sized residue
+    # into an O(sqrt(eps)) magnitude, far above spectrum-comparison
+    # tolerances.
+    if not gram.size:
+        return []
+    sq = np.linalg.eigvalsh(gram)
+    floor = 64.0 * np.finfo(np.float64).eps * n * max(float(sq[-1]), 1.0)
+    return np.sqrt(np.where(sq > floor, sq, 0.0))[::-1].tolist()
+
+
+def _half_order_spectrum(g: Graph, b: Bipartition, direction) -> Spectrum:
+    # In X/Y order S = [[0, B], [-B^T, 0]], so its magnitudes are the
+    # singular values of B, the square roots of the eigenvalues of B B^T.
+    # The block is built with the smaller side as its rows, so the gram
+    # is min(n_X, n_Y) square.  ``direction`` gives B's signs from the
+    # direction bits; None gives |B|, whose singular values are the
+    # adjacency spectrum's positive half.
+    side = b.side
+    at, count = [], [0, 0]
+    for s in side:
+        at.append(count[s])
+        count[s] += 1
+    r = X if count[X] <= count[Y] else Y
+    rows, cols = count[r], count[1 - r]
+    # S[u, v] is 1 for bit 0 (the arc u -> v) and -1 for bit 1, and a row
+    # end v reads S[v, u] = -S[u, v]; |B| has neither sign.
+    signs = [1] * g.m if direction is None else [1 - 2 * d for d in direction]
+    flip = 1 if direction is None else -1
+    index, value = [], []
+    for (u, v), f in zip(g.edges, signs):
+        if side[u] == r:
+            index.append(at[u] * cols + at[v])
+            value.append(f)
+        else:
+            index.append(at[v] * cols + at[u])
+            value.append(flip * f)
+    block = np.zeros(rows * cols)
+    block[index] = value
+    block = block.reshape(rows, cols)
+    # Integer entries and sums below 2^53, so the float product is exact.
+    mags = _magnitudes(block @ block.T, g.n)
+    # 0.0 - m is +0.0 for a zero magnitude, where -m would be -0.0.
+    return Spectrum(
+        tuple(mags)
+        + (0.0,) * (g.n - 2 * rows)
+        + tuple(0.0 - m for m in reversed(mags))
+    )
+
+
 def skew_spectrum(og: OrientedGraph) -> Spectrum:
     """Imaginary parts of the eigenvalues of S, descending.
 
     The result is exactly antisymmetric: entry k and entry n-1-k sum to
     exactly 0.0, and the middle entry of an odd-length spectrum is 0.0.
+
+    A bipartite graph takes the half-order route: with B the signed
+    X x Y block of S under the canonical bipartition, the magnitudes are
+    the square roots of the eigenvalues of B B^T (B^T B when X is the
+    larger side), emitted as the min(n_X, n_Y) magnitudes, then
+    n - 2 min(n_X, n_Y) exact zeros, then the magnitudes negated.  Any
+    other graph takes the dense route, the eigenvalues of the n x n
+    :func:`skew_gram`, each nonzero one with even multiplicity, so
+    adjacent square roots are averaged into one magnitude per +/- pair.
+    Raises :class:`BudgetExceededError` above ``ORDER_CAP`` on either
+    route, before allocating.
     """
     n = og.n
-    if n == 0:
-        return Spectrum(())
-    sq = np.linalg.eigvalsh(skew_gram(og).astype(np.float64))
-    # Eigenvalues of S S^T below the solver's resolution are zeros of the
-    # exact matrix; flooring them here matters because the square root
-    # would otherwise turn an O(eps)-sized residue into an O(sqrt(eps))
-    # magnitude, far above spectrum-comparison tolerances.
-    floor = 64.0 * np.finfo(np.float64).eps * n * max(float(sq[-1]), 1.0)
-    sq = np.where(sq > floor, sq, 0.0)
-    mags = np.sqrt(sq)[::-1]
-    return paired_spectrum(mags, n)
+    _require_dense_order(n)
+    b = og.graph._two_coloring[0]
+    if b is not None:
+        return _half_order_spectrum(og.graph, b, og.direction)
+    return paired_spectrum(_magnitudes(skew_gram(og).astype(np.float64), n), n)
 
 
 def spectra_equal(a: Spectrum, b: Spectrum, tol: float = 1e-8) -> bool:
@@ -217,7 +313,9 @@ class EnergyReport:
     S S^T == degree * I, which holds exactly when the energy meets the
     bound.  For a non-regular graph ``degree`` and ``bound`` are None and
     the certificate is False (no bound applies, so the test is skipped
-    rather than failed).
+    rather than failed).  ``route`` names how the spectrum was found:
+    ``"certificate"`` (no eigensolve), ``"bipartite"`` (the half-order
+    block) or ``"dense"`` (the n x n gram).
     """
 
     spectrum: Spectrum
@@ -225,6 +323,7 @@ class EnergyReport:
     degree: int | None
     bound: float | None
     exact_certificate: bool
+    route: str
 
 
 def is_gram_scalar(og: OrientedGraph, k: int | None = None) -> bool:
@@ -256,17 +355,25 @@ def skew_energy(og: OrientedGraph) -> EnergyReport:
     """Skew spectrum and energy plus the exact maximality certificate.
 
     The certificate runs first.  A certified orientation gets the
-    spectrum +/-sqrt(k) and the energy n * sqrt(k) with no eigensolve;
-    any other orientation gets the dense :func:`skew_spectrum`.
+    spectrum +/-sqrt(k) and the energy n * sqrt(k) with no eigensolve and
+    no bipartiteness test; any other orientation gets
+    :func:`skew_spectrum`, on the half-order route when the graph is
+    bipartite and on the dense route otherwise.
     """
     k = og.graph.regular_degree()
     certified = k is not None and is_gram_scalar(og, k)
     root = None if k is None else float(np.sqrt(k))
-    sp = paired_spectrum([root] * og.n, og.n) if certified else skew_spectrum(og)
+    if certified:
+        sp, route = paired_spectrum([root] * og.n, og.n), "certificate"
+    else:
+        sp = skew_spectrum(og)
+        # skew_spectrum has coloured the graph, so this reads its cache.
+        route = "dense" if og.graph._two_coloring[0] is None else "bipartite"
     return EnergyReport(
         spectrum=sp,
         energy=spectrum_energy(sp),
         degree=k,
         bound=None if k is None else og.n * root,
         exact_certificate=certified,
+        route=route,
     )

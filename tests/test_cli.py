@@ -5,9 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+from itertools import combinations
 
 import pytest
 
+import skewspec.graph as graph_module
+import skewspec.switching as switching_module
+from skewspec import from_arcs, serialize_graph
 from skewspec.cli import run
 from skewspec.io import parse_graph
 
@@ -19,6 +23,7 @@ C4_ODD = str(DATA_DIR / "c4_odd.og")
 C4_ELEM = str(DATA_DIR / "c4_elementary.og")
 C6_ELEM = str(DATA_DIR / "c6_elementary.og")
 C6_R2 = str(DATA_DIR / "c6_r2.og")
+C8_NONUNIFORM = str(DATA_DIR / "c8_nonuniform.og")
 K44 = str(DATA_DIR / "k44.ug")
 K4 = str(DATA_DIR / "k4.ug")
 
@@ -78,6 +83,24 @@ class TestSpectrum:
 
 
 class TestCheck:
+    def test_one_bipartition_per_check(self, capsys, monkeypatch):
+        # One colouring for the bipartition, shared by the three
+        # predicates, and one for the equivalence to the elementary
+        # orientation.
+        original = graph_module.parity_coloring
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(graph_module, "parity_coloring", counting)
+        monkeypatch.setattr(switching_module, "parity_coloring", counting)
+        code, doc, _ = invoke(capsys, "check", str(DATA_DIR / "q3_elementary.og"))
+        assert code == 0
+        assert doc["consistent"] is True
+        assert len(calls) <= 2
+
     def test_elementary_passes_all_three(self, capsys):
         code, doc, _ = invoke(capsys, "check", C6_ELEM)
         assert code == 0
@@ -215,7 +238,7 @@ class TestTiming:
         _, doc, _ = invoke(capsys, "spectrum", "--timing", C4_ODD)
         assert doc["spectrum_route"] == "certificate"
         _, doc, _ = invoke(capsys, "spectrum", "--timing", C4_ELEM)
-        assert doc["spectrum_route"] == "dense"
+        assert doc["spectrum_route"] == "bipartite"
         _, doc, _ = invoke(
             capsys, "family", str(tmp_path / "f.og"), "--base", "k4", "--r", "2",
             "--timing",
@@ -223,6 +246,16 @@ class TestTiming:
         assert doc["spectrum_route"] == "certificate"
         _, doc, _ = invoke(capsys, "spectrum", C4_ODD)
         assert "spectrum_route" not in doc
+
+    def test_route_of_uncertified_orientations(self, capsys, tmp_path):
+        _, doc, _ = invoke(capsys, "spectrum", "--timing", C8_NONUNIFORM)
+        assert doc["spectrum_route"] == "bipartite"
+        # A transitive K4: S S^T is not 3 I, and K4 has triangles.
+        k4 = tmp_path / "k4_transitive.og"
+        k4.write_text(serialize_graph(from_arcs(4, combinations(range(4), 2))))
+        _, doc, _ = invoke(capsys, "spectrum", "--timing", str(k4))
+        assert doc["certificate"] is False
+        assert doc["spectrum_route"] == "dense"
 
 
 class TestProduct:

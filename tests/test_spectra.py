@@ -4,17 +4,21 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import find, given
 from hypothesis import strategies as st
 
+import skewspec.graph as graph_module
 from skewspec import (
     BASE_NAMES,
     FamilySpec,
     NotRegularError,
     NotSymmetricError,
+    BudgetExceededError,
     OrientedGraph,
     Spectrum,
+    adjacency_matrix,
     adjacency_spectrum,
+    bipartition,
     build_graph,
     complete,
     complete_bipartite,
@@ -37,7 +41,7 @@ from skewspec import (
 )
 from skewspec.spectra import gram_terms
 from oracles import all_orientations, direct_skew_spectrum
-from strategies import graphs, oriented_graphs
+from strategies import bipartite_oriented_graphs, graphs, oriented_graphs
 
 
 @st.composite
@@ -132,6 +136,107 @@ class TestSkewSpectrum:
         assert tuple(gram.diagonal().tolist()) == og.graph.degrees()
         s = skew_adjacency(og)
         assert np.array_equal(gram, s @ s.T)
+
+
+def _assert_exactly_antisymmetric(vals):
+    n = len(vals)
+    for i in range(n):
+        assert vals[i] == -vals[n - 1 - i]
+    assert not any(v == 0.0 and math.copysign(1.0, v) < 0 for v in vals)
+
+
+def _components_with_edges(g) -> int:
+    seen, count = set(), 0
+    for root in range(g.n):
+        if root in seen or not g.neighbors(root):
+            continue
+        count += 1
+        stack = [root]
+        seen.add(root)
+        while stack:
+            for w in g.neighbors(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def _side_imbalance(g) -> int:
+    # |n_X - n_Y| under the canonical bipartition (Y is label 1).
+    return abs(g.n - 2 * sum(bipartition(g).side))
+
+
+class TestHalfOrderRoute:
+    """Bipartite spectra from the X x Y block, against full-order solves."""
+
+    def test_p5_middle_eigenvalue_is_exactly_zero(self):
+        vals = adjacency_spectrum(path(5)).values
+        assert vals[2] == 0.0
+        assert vals == pytest.approx((math.sqrt(3), 1, 0, -1, -math.sqrt(3)), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "g, top",
+        [(complete_bipartite(4, 4), 4.0), (complete_bipartite(2, 5), math.sqrt(10))],
+        ids=["K4,4", "K2,5"],
+    )
+    def test_rank_one_blocks_have_exact_zeros(self, g, top):
+        # All-ones blocks: one magnitude, then exact zeros, also from the
+        # 2 x 2 gram of the unbalanced K2,5.
+        vals = adjacency_spectrum(g).values
+        assert vals[0] == pytest.approx(top)
+        assert vals[1:-1] == (0.0,) * (g.n - 2)
+        assert vals[-1] == -vals[0]
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda og: og.n == 0,
+            lambda og: og.n == 1,
+            lambda og: og.n >= 2 and og.graph.m == 0,
+            lambda og: og.graph.m and _side_imbalance(og.graph) >= 2,
+            lambda og: og.graph.m and 0 in og.graph.degrees(),
+            lambda og: _components_with_edges(og.graph) >= 2,
+        ],
+        ids=["empty", "one-vertex", "edgeless", "unbalanced", "isolated", "components"],
+    )
+    def test_strategy_reaches(self, shape):
+        find(bipartite_oriented_graphs(min_n=0), shape)
+
+    @given(bipartite_oriented_graphs(min_n=0))
+    def test_skew_matches_direct_eigensolve(self, og):
+        mine = skew_spectrum(og).values
+        ref = direct_skew_spectrum(og)
+        assert len(mine) == len(ref) == og.n
+        assert all(abs(a - b) < 1e-9 for a, b in zip(mine, ref))
+        _assert_exactly_antisymmetric(mine)
+
+    @given(bipartite_oriented_graphs(min_n=0))
+    def test_adjacency_matches_full_order_eigensolve(self, og):
+        mine = adjacency_spectrum(og.graph).values
+        ref = np.linalg.eigvalsh(adjacency_matrix(og.graph).astype(np.float64))[::-1]
+        assert len(mine) == len(ref) == og.n
+        assert all(abs(a - b) < 1e-9 for a, b in zip(mine, ref))
+        _assert_exactly_antisymmetric(mine)
+
+    def test_cap_checked_before_colouring_or_allocation(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "ORDER_CAP", 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated a matrix over the cap")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        og = from_arcs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(BudgetExceededError):
+            skew_spectrum(og)
+        with pytest.raises(BudgetExceededError):
+            adjacency_spectrum(og.graph)
+        assert "_two_coloring" not in vars(og.graph)
+
+    def test_certified_energy_colours_nothing(self):
+        member = generate_family(FamilySpec("k44", 2)).orientation
+        og = OrientedGraph(build_graph(member.n, member.graph.edges), member.direction)
+        assert skew_energy(og).route == "certificate"
+        assert "_two_coloring" not in vars(og.graph)
 
 
 class TestSpectraEqual:
