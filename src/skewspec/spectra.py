@@ -71,7 +71,7 @@ def require_antisymmetric(sp: Spectrum) -> None:
     be exactly 0.0).
     """
     k = len(sp)
-    for i in range(k // 2 + 1):
+    for i in range((k + 1) // 2):
         if sp.values[i] + sp.values[k - 1 - i] != 0.0:
             raise NotAntisymmetricError(
                 "spectrum is not antisymmetric: "
@@ -190,16 +190,24 @@ def skew_gram(og: OrientedGraph) -> np.ndarray:
     return gram
 
 
+def _from_magnitudes(mags, n: int) -> Spectrum:
+    # The spectrum of order n with the descending magnitudes ``mags``, one
+    # per +/- pair: the magnitudes, n - 2 len(mags) exact zeros, then the
+    # magnitudes negated.  0.0 - m is +0.0 for a zero magnitude, where -m
+    # would be -0.0.
+    return Spectrum(
+        tuple(mags)
+        + (0.0,) * (n - 2 * len(mags))
+        + tuple(0.0 - m for m in reversed(mags))
+    )
+
+
 def paired_spectrum(mags_desc, total: int) -> Spectrum:
     # mags_desc holds `total` nonnegative magnitudes sorted descending,
     # every nonzero value with exact even multiplicity.  Average each
-    # adjacent pair so the emitted +/- values match to the bit; negate
-    # without producing -0.0.
-    half = total // 2
-    pos = [(mags_desc[2 * i] + mags_desc[2 * i + 1]) / 2.0 for i in range(half)]
-    mid = [0.0] if total % 2 else []
-    neg = [(-v if v != 0.0 else 0.0) for v in reversed(pos)]
-    return Spectrum(tuple(pos) + tuple(mid) + tuple(neg))
+    # adjacent pair so the emitted +/- values match to the bit.
+    pos = [(mags_desc[2 * i] + mags_desc[2 * i + 1]) / 2.0 for i in range(total // 2)]
+    return _from_magnitudes(pos, total)
 
 
 def _magnitudes(gram: np.ndarray, n: int) -> list[float]:
@@ -246,13 +254,7 @@ def _half_order_spectrum(g: Graph, b: Bipartition, direction) -> Spectrum:
     block[index] = value
     block = block.reshape(rows, cols)
     # Integer entries and sums below 2^53, so the float product is exact.
-    mags = _magnitudes(block @ block.T, g.n)
-    # 0.0 - m is +0.0 for a zero magnitude, where -m would be -0.0.
-    return Spectrum(
-        tuple(mags)
-        + (0.0,) * (g.n - 2 * rows)
-        + tuple(0.0 - m for m in reversed(mags))
-    )
+    return _from_magnitudes(_magnitudes(block @ block.T, g.n), g.n)
 
 
 def skew_spectrum(og: OrientedGraph) -> Spectrum:

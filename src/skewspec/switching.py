@@ -152,6 +152,20 @@ def _chordless_walks(g: Graph) -> Iterator[tuple[int, ...]]:
                         chords[x] -= 1
 
 
+def _capped_walks(g: Graph, cap: int) -> Iterator[tuple[int, ...]]:
+    # _chordless_walks, raising CapExceededError with the first ``cap``
+    # cycles when it meets one more.
+    seen: list[tuple[int, ...]] = []
+    for vs in _chordless_walks(g):
+        if len(seen) >= cap:
+            raise CapExceededError(
+                f"more than {cap} chordless cycles",
+                cycles=[CycleWalk(c) for c in seen],
+            )
+        seen.append(vs)
+        yield vs
+
+
 def chordless_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleWalk]:
     """All chordless cycles of ``g`` (induced cycles, including triangles).
 
@@ -165,12 +179,11 @@ def chordless_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleWalk]:
     cycles in the same order as they are found, so there ``cap`` binds a
     false verdict only when no non-uniform cycle turns up first.
     """
-    out: list[CycleWalk] = []
-    for vs in _chordless_walks(g):
-        if len(out) >= cap:
-            raise CapExceededError(f"more than {cap} chordless cycles", cycles=out)
-        out.append(CycleWalk(vs))
-    return out
+    cycles: list = list(_capped_walks(g, cap))
+    # Replaced one at a time, so each walk is freed as its copy is made.
+    for i, vs in enumerate(cycles):
+        cycles[i] = CycleWalk(vs)
+    return cycles
 
 
 def _validate_cycle(g: Graph, c: CycleWalk) -> None:
@@ -222,16 +235,9 @@ def all_chordless_uniform(og: OrientedGraph, cap: int = DEFAULT_CYCLE_CAP) -> bo
     verdict on more than ``cap`` cycles.
     """
     bipartition(og.graph)
-    seen: list[tuple[int, ...]] = []
-    for vs in _chordless_walks(og.graph):
-        if len(seen) >= cap:
-            raise CapExceededError(
-                f"more than {cap} chordless cycles",
-                cycles=[CycleWalk(c) for c in seen],
-            )
+    for vs in _capped_walks(og.graph, cap):
         if not _uniform(og, vs):
             return False
-        seen.append(vs)
     return True
 
 

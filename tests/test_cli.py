@@ -272,6 +272,16 @@ class TestProduct:
         assert og.n == 8
         assert og.graph.m == 12
 
+    def test_empty_factor_verifies(self, capsys, tmp_path):
+        empty = tmp_path / "empty.og"
+        empty.write_text("og 0 0\n")
+        for h, g in ((str(empty), C4_ODD), (C4_ELEM, str(empty))):
+            out = tmp_path / "prod.og"
+            code, doc, _ = invoke(capsys, "product", h, g, str(out), "--verify")
+            assert code == 0 and doc["n"] == 0
+            assert doc["matrix_identity"] is True
+            assert doc["spectrum_match"] is True
+
     def test_tol_without_verify_is_an_input_error(
         self, capsys, monkeypatch, tmp_path
     ):

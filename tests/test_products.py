@@ -17,6 +17,7 @@ from skewspec import (
     complete,
     complete_bipartite,
     cycle,
+    elementary_orientation,
     from_arcs,
     hypercube,
     is_gram_scalar,
@@ -25,7 +26,6 @@ from skewspec import (
     predicted_product_spectrum,
     product_matrix_identity,
     product_skew_kronecker,
-    product_vertex_order,
     seed_orientation,
     skew_adjacency,
     skew_gram,
@@ -34,6 +34,15 @@ from skewspec import (
     verify_product_spectrum,
 )
 from oracles import random_graph, random_orientation
+
+# Bipartite left factors: the K4,4 seed lists its X side first, while the
+# canonical sides of C4 ({0, 2} / {1, 3}), P4 and Q3 interleave.
+LEFT_FACTORS = {
+    "k44": lambda: seed_orientation("k44"),
+    "c4": lambda: elementary_orientation(cycle(4)),
+    "p4": lambda: elementary_orientation(path(4)),
+    "q3": lambda: elementary_orientation(hypercube(3)),
+}
 
 
 class TestCartesianProduct:
@@ -56,19 +65,6 @@ class TestCartesianProduct:
         assert p.n == h.n * g.n
         assert p.m == h.n * g.m + g.n * h.m
 
-    def test_vertex_order_bijection(self):
-        order = product_vertex_order(cycle(4), path(3))
-        seen = {order.index(u, v) for u in range(4) for v in range(3)}
-        assert seen == set(range(12))
-        for u in range(4):
-            for v in range(3):
-                assert order.pair(order.index(u, v)) == (u, v)
-
-    def test_x_side_rows_come_first(self):
-        order = product_vertex_order(cycle(4), path(2))
-        # canonical sides of C4 are {0, 2} and {1, 3}
-        assert order.h_order == (0, 2, 1, 3)
-
 
 class TestOrientedProduct:
     def test_p2_p2_example(self):
@@ -77,12 +73,16 @@ class TestOrientedProduct:
         assert op.arcs() == ((0, 1), (0, 2), (1, 3), (3, 2))
         assert np.array_equal(skew_gram(op), 2 * np.eye(4, dtype=np.int64))
 
-    def test_underlying_graph_matches_cartesian(self):
-        ht = seed_orientation("k44")
+    @pytest.mark.parametrize("left", LEFT_FACTORS)
+    def test_underlying_graph_matches_cartesian(self, left):
+        ht = LEFT_FACTORS[left]()
         gs = seed_orientation("c4")
-        assert oriented_product(ht, gs).graph == cartesian_product(
-            ht.graph, gs.graph
-        )
+        op = oriented_product(ht, gs)
+        assert op.graph == cartesian_product(ht.graph, gs.graph)
+        # (u, v) is vertex u * n + v, so H's arcs cross the fibers there
+        n = gs.n
+        h_arcs = {(t * n + v, head * n + v) for t, head in ht.arcs() for v in range(n)}
+        assert h_arcs <= set(op.arcs())
 
     def test_reversal_happens_on_y_fibers_only(self):
         p2 = from_arcs(2, [(0, 1)])
@@ -111,18 +111,17 @@ class TestMatrixIdentity:
         p2 = from_arcs(2, [(0, 1)])
         assert product_matrix_identity(p2, p2)
 
-    def test_k44_c4(self):
-        assert product_matrix_identity(seed_orientation("k44"), seed_orientation("c4"))
+    @pytest.mark.parametrize("left", LEFT_FACTORS)
+    def test_k44_c4(self, left):
+        ht, gs = LEFT_FACTORS[left](), seed_orientation("c4")
+        assert product_matrix_identity(ht, gs)
+        assert verify_product_spectrum(ht, gs)
 
     def test_skipping_reversal_breaks_identity(self):
         p2 = from_arcs(2, [(0, 1)])
-        h = g = p2.graph
-        order = product_vertex_order(h, g)
-        arcs = []
-        for u in range(2):
-            arcs.append((order.index(u, 0), order.index(u, 1)))
-        for v in range(2):
-            arcs.append((order.index(0, v), order.index(1, v)))
+        # (u, v) is vertex u * 2 + v; the fiber over Y-vertex 1 keeps 2 -> 3
+        arcs = [(u * 2, u * 2 + 1) for u in range(2)]
+        arcs += [(v, 2 + v) for v in range(2)]
         unreversed = from_arcs(4, arcs)
         assert not np.array_equal(
             skew_adjacency(unreversed), product_skew_kronecker(p2, p2)
