@@ -149,9 +149,9 @@ def _cmd_product(args):
     ht = _load_oriented(args.file_h, "product")
     gs = _load_oriented(args.file_g, "product")
     product = oriented_product(ht, gs)
-    _write(args.out, serialize_graph(product))
     doc = {"command": "product", "n": product.n, "m": product.graph.m}
     code = 0
+    # Verified before the write, so an input error leaves no file behind.
     if args.verify:
         tol = _resolve_tol(args)
         identity = product_matrix_identity(ht, gs)
@@ -161,6 +161,7 @@ def _cmd_product(args):
         doc["spectrum_match"] = match
         if not (identity and match):
             code = 3
+    _write(args.out, serialize_graph(product))
     return doc, code
 
 

@@ -29,10 +29,6 @@ class NotBipartiteError(SkewspecError, ValueError):
         self.odd_cycle = odd_cycle
 
 
-class InvalidBipartitionError(SkewspecError, ValueError):
-    """A supplied two-coloring does not properly color the graph."""
-
-
 class NotSymmetricError(SkewspecError, ValueError):
     """A matrix expected to be symmetric is not (exact comparison)."""
 

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     DuplicateEdgeError,
-    InvalidBipartitionError,
     NotBipartiteError,
     SelfLoopError,
     VertexOutOfRangeError,
@@ -84,11 +83,12 @@ class Graph:
         return inc
 
     @cached_property
-    def _two_coloring(self) -> tuple[Bipartition | None, tuple[int, ...] | None]:
-        # The canonical bipartition and no cycle, or no bipartition and an
-        # odd cycle: one colouring per graph, whoever asks first.
-        side, cycle = parity_coloring(self, (1,) * self.m)
-        return (None if side is None else Bipartition(side)), cycle
+    def _two_coloring(self) -> tuple[Bipartition | None, tuple]:
+        # The canonical bipartition and its (parent, depth) forest, or no
+        # bipartition and an odd cycle: one colouring per graph, whoever
+        # asks first.
+        side, found = parity_coloring(self, (1,) * self.m)
+        return (None if side is None else Bipartition(side)), found
 
     def neighbors(self, v: int) -> KeysView[int]:
         """Read-only ascending view of the neighbours of ``v``."""
@@ -226,25 +226,21 @@ class Bipartition:
     def y_vertices(self) -> tuple[int, ...]:
         return tuple(v for v, s in enumerate(self.side) if s == Y)
 
-    def is_valid_for(self, g: Graph) -> bool:
-        if len(self.side) != g.n:
-            return False
-        return all(self.side[u] != self.side[v] for u, v in g.edges)
-
 
 def parity_coloring(
     g: Graph, parity: Sequence[int]
-) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+) -> tuple[tuple[int, ...] | None, tuple]:
     """Two-color ``g`` so that colors differ exactly across parity-1 edges.
 
     ``parity`` holds one 0/1 entry per edge in canonical edge order.  A
     breadth-first spanning forest forces the colors, with color 0 on the
     minimum-index vertex of each component, and every other edge is
-    checked against them.  Returns ``(side, None)`` when every edge
-    agrees.  Otherwise returns ``(None, cycle)`` for the first edge
-    {u, w} that disagrees: the tree paths from u and w to their lowest
-    common ancestor joined by that edge, a cycle with odd parity sum.
-    All-ones parity tests bipartiteness; the edges where two
+    checked against them.  Returns ``(side, (parent, depth))`` when every
+    edge agrees: the forest as each vertex's tree parent (-1 at a root)
+    and its distance from the root.  Otherwise returns ``(None, cycle)``
+    for the first edge {u, w} that disagrees: the tree paths from u and w
+    to their lowest common ancestor joined by that edge, a cycle with odd
+    parity sum.  All-ones parity tests bipartiteness; the edges where two
     orientations disagree test switching equivalence.
     """
     side = [-1] * g.n
@@ -268,7 +264,7 @@ def parity_coloring(
                     elif side[u] ^ side[w] != p:
                         return None, _tree_cycle(u, w, parent, depth)
             queue = nxt
-    return tuple(side), None
+    return tuple(side), (tuple(parent), tuple(depth))
 
 
 def _tree_cycle(u, w, parent, depth):
@@ -307,14 +303,9 @@ def bipartition(g: Graph) -> Bipartition:
     return b
 
 
-def elementary_orientation(g: Graph, b: Bipartition | None = None) -> OrientedGraph:
-    """Orient every edge from the X side to the Y side.
-
-    Uses the canonical bipartition when ``b`` is omitted.
-    """
-    if b is None:
-        b = bipartition(g)
-    elif not b.is_valid_for(g):
-        raise InvalidBipartitionError("two-coloring does not properly color the graph")
+def elementary_orientation(g: Graph) -> OrientedGraph:
+    """Orient every edge from the X side to the Y side of the canonical
+    bipartition."""
+    b = bipartition(g)
     bits = tuple(0 if b.side[u] == X else 1 for u, v in g.edges)
     return OrientedGraph(g, bits)

@@ -11,6 +11,14 @@ differ exactly across disagreeing edges, and either every non-tree edge
 is consistent (the color classes give the witness) or some edge closes a
 cycle carrying an odd number of disagreements, which certifies
 non-equivalence.
+
+The cycle predicate needs no enumeration either.  An even cycle is
+uniformly oriented exactly when an even number of its arcs run against
+the elementary orientation.  That parity adds over the cycle space, and
+a chord splits a cycle into two cycles that sum to it, so every
+chordless cycle is uniform exactly when every fundamental cycle of a
+spanning forest is.  Only :func:`chordless_cycles`, the explicit
+enumeration, has a cap.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .errors import (
 from .graph import (
     Graph,
     OrientedGraph,
+    _tree_cycle,
     bipartition,
     elementary_orientation,
     parity_coloring,
@@ -152,20 +161,6 @@ def _chordless_walks(g: Graph) -> Iterator[tuple[int, ...]]:
                         chords[x] -= 1
 
 
-def _capped_walks(g: Graph, cap: int) -> Iterator[tuple[int, ...]]:
-    # _chordless_walks, raising CapExceededError with the first ``cap``
-    # cycles when it meets one more.
-    seen: list[tuple[int, ...]] = []
-    for vs in _chordless_walks(g):
-        if len(seen) >= cap:
-            raise CapExceededError(
-                f"more than {cap} chordless cycles",
-                cycles=[CycleWalk(c) for c in seen],
-            )
-        seen.append(vs)
-        yield vs
-
-
 def chordless_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleWalk]:
     """All chordless cycles of ``g`` (induced cycles, including triangles).
 
@@ -175,14 +170,15 @@ def chordless_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleWalk]:
     using only vertices above u0; since a chord to u0 is forbidden, any
     neighbor of u0 met along the way can only close the cycle.  Raises
     :class:`CapExceededError` carrying the partial list when more than
-    ``cap`` cycles exist.  :func:`all_chordless_uniform` tests the same
-    cycles in the same order as they are found, so there ``cap`` binds a
-    false verdict only when no non-uniform cycle turns up first.
+    ``cap`` cycles exist.
     """
-    cycles: list = list(_capped_walks(g, cap))
-    # Replaced one at a time, so each walk is freed as its copy is made.
-    for i, vs in enumerate(cycles):
-        cycles[i] = CycleWalk(vs)
+    cycles: list[CycleWalk] = []
+    for vs in _chordless_walks(g):
+        if len(cycles) >= cap:
+            raise CapExceededError(
+                f"more than {cap} chordless cycles", cycles=cycles
+            )
+        cycles.append(CycleWalk(vs))
     return cycles
 
 
@@ -223,22 +219,25 @@ def is_uniformly_oriented(og: OrientedGraph, c: CycleWalk) -> bool:
     return _uniform(og, c.vertices)
 
 
-def all_chordless_uniform(og: OrientedGraph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
+def all_chordless_uniform(og: OrientedGraph) -> bool:
     """Whether every chordless cycle is uniformly oriented.
 
     Requires a bipartite underlying graph (so every cycle is even);
-    vacuously true on forests.  Each cycle is tested as it is enumerated,
-    in the order of :func:`chordless_cycles`, and the first non-uniform
-    one decides ``False``.  So ``cap`` binds a false verdict only when no
-    non-uniform cycle turns up first: past ``cap`` uniform cycles this
-    raises :class:`CapExceededError` carrying them, as it does for a true
-    verdict on more than ``cap`` cycles.
+    vacuously true on forests.  Decided exactly, with no enumeration and
+    no cap, by one parity test per edge off the canonical breadth-first
+    forest: its fundamental cycle, the edge joined to the tree paths from
+    its ends to their lowest common ancestor.  Those cycles span the
+    cycle space, on which uniformity is a parity (see the module
+    docstring).
     """
-    bipartition(og.graph)
-    for vs in _capped_walks(og.graph, cap):
-        if not _uniform(og, vs):
-            return False
-    return True
+    g = og.graph
+    bipartition(g)
+    parent, depth = g._two_coloring[1]
+    return all(
+        _uniform(og, _tree_cycle(u, w, parent, depth))
+        for u, w in g.edges
+        if parent[w] != u and parent[u] != w
+    )
 
 
 def matches_adjacency_spectrum(og: OrientedGraph, tol: float = 1e-8) -> bool:

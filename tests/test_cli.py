@@ -11,7 +11,12 @@ import pytest
 
 import skewspec.graph as graph_module
 import skewspec.switching as switching_module
-from skewspec import from_arcs, serialize_graph
+from skewspec import (
+    elementary_orientation,
+    from_arcs,
+    hypercube,
+    serialize_graph,
+)
 from skewspec.cli import run
 from skewspec.io import parse_graph
 
@@ -133,9 +138,18 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_uniform_past_the_enumeration_cap(self, capsys, tmp_path):
+        # Q6 has more than 10^6 chordless cycles; check enumerates none.
+        q6 = tmp_path / "q6.og"
+        q6.write_text(serialize_graph(elementary_orientation(hypercube(6))))
+        code, doc, _ = invoke(capsys, "check", str(q6))
+        assert code == 0
+        assert doc["all_chordless_uniform"] is True
+        assert doc["consistent"] is True
+
     def test_dense_cycle_false_verdict(self, capsys, tmp_path):
-        # The k44 r=2 member has more than 10^6 chordless cycles (the
-        # default cap), and the second one found is not uniform.
+        # The k44 r=2 member has more than 10^6 chordless cycles, and some
+        # fundamental cycle of its forest is not uniform.
         out = str(tmp_path / "k44r2.og")
         assert invoke(capsys, "family", out, "--base", "k44", "--r", "2")[0] == 0
         code, doc, _ = invoke(capsys, "check", out)
@@ -293,6 +307,24 @@ class TestProduct:
         monkeypatch.setenv("SKEWSPEC_TOL", "nan")
         code, doc, _ = invoke(capsys, "product", P2, P2, str(out))
         assert code == 0 and "tol" not in doc
+
+    def test_verify_errors_write_nothing(self, capsys, monkeypatch, tmp_path):
+        out = tmp_path / "prod.og"
+        code, _, err = invoke(
+            capsys, "product", P2, C4_ODD, str(out), "--verify", "--tol", "nan"
+        )
+        assert code == 2 and err.startswith("error:")
+        assert not out.exists()
+        monkeypatch.setenv("SKEWSPEC_TOL", "nan")
+        code, _, _ = invoke(capsys, "product", P2, C4_ODD, str(out), "--verify")
+        assert code == 2
+        assert not out.exists()
+        monkeypatch.delenv("SKEWSPEC_TOL")
+        wide = tmp_path / "wide.og"
+        wide.write_text("og 4097 0\n")
+        code, _, err = invoke(capsys, "product", str(wide), P2, str(out), "--verify")
+        assert code == 2 and "cap" in err
+        assert not out.exists()
 
     def test_non_bipartite_left_factor_rejected(self, capsys, tmp_path):
         tri = tmp_path / "tri.og"

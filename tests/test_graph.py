@@ -4,11 +4,9 @@ from hypothesis import given
 
 import skewspec.graph as graph_module
 from skewspec import (
-    Bipartition,
     BudgetExceededError,
     DuplicateEdgeError,
     Graph,
-    InvalidBipartitionError,
     NotBipartiteError,
     OrientedGraph,
     SelfLoopError,
@@ -218,7 +216,8 @@ class TestBipartition:
             b = bipartition(g)
         except NotBipartiteError:
             return
-        assert b.is_valid_for(g)
+        assert len(b.side) == g.n
+        assert all(b.side[u] != b.side[v] for u, v in g.edges)
 
 
 class TestElementaryOrientation:
@@ -233,10 +232,6 @@ class TestElementaryOrientation:
     def test_k44_all_x_to_y(self):
         og = elementary_orientation(complete_bipartite(4, 4))
         assert all(t < 4 <= h for t, h in og.arcs())
-
-    def test_invalid_bipartition_rejected(self):
-        with pytest.raises(InvalidBipartitionError):
-            elementary_orientation(path(3), Bipartition((X, X, Y)))
 
     def test_block_form_x_first(self):
         g = complete_bipartite(2, 3)

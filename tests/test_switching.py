@@ -330,21 +330,30 @@ class TestPredicates:
 
 class TestStreamedVerdict:
     def test_first_non_uniform_cycle_decides(self):
-        # The c4 r=2 member has 23,992 chordless cycles and the first one
-        # found is not uniform, so a cap of 10 is never reached.
+        # The c4 r=2 member has 23,992 chordless cycles, and some
+        # fundamental cycle of its forest is not uniform.
         og = generate_family(FamilySpec("c4", 2)).orientation
-        assert not all_chordless_uniform(og, cap=10)
+        assert not all_chordless_uniform(og)
 
-    def test_cap_binds_when_every_cycle_is_uniform(self):
-        g = hypercube(5)
-        with pytest.raises(CapExceededError) as exc:
-            all_chordless_uniform(elementary_orientation(g), cap=10)
-        with pytest.raises(CapExceededError) as listed:
-            chordless_cycles(g, cap=10)
-        assert exc.value.cycles == listed.value.cycles
+    def test_uniform_past_the_enumeration_cap(self):
+        # Q6 and the k44 r=2 member each have more than DEFAULT_CYCLE_CAP
+        # chordless cycles; the verdict needs none of them.
+        k44r2 = generate_family(FamilySpec("k44", 2)).orientation.graph
+        for g in (hypercube(6), k44r2):
+            assert all_chordless_uniform(elementary_orientation(g))
 
     @given(bipartite_oriented_graphs())
     def test_agrees_with_the_full_enumeration(self, og):
         assert all_chordless_uniform(og) == all(
             is_uniformly_oriented(og, c) for c in chordless_cycles(og.graph)
         )
+
+    def test_agrees_with_the_full_enumeration_on_every_q3_orientation(self):
+        g = hypercube(3)
+        cycles = chordless_cycles(g)
+        verdicts = set()
+        for og in all_orientations(g):
+            every = all(is_uniformly_oriented(og, c) for c in cycles)
+            assert all_chordless_uniform(og) == every
+            verdicts.add(every)
+        assert verdicts == {True, False}
