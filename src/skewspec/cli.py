@@ -27,11 +27,7 @@ from .errors import SkewspecError
 from .families import BASE_NAMES, FamilySpec, generate_family
 from .graph import Graph, OrientedGraph
 from .io import parse_graph, render_report, serialize_graph
-from .products import (
-    oriented_product,
-    product_matrix_identity,
-    verify_product_spectrum,
-)
+from .products import _matrix_identity, _spectrum_match, oriented_product
 from .search import find_max_energy_orientation
 from .spectra import adjacency_spectrum, skew_energy, spectrum_energy
 from .switching import (
@@ -151,11 +147,12 @@ def _cmd_product(args):
     product = oriented_product(ht, gs)
     doc = {"command": "product", "n": product.n, "m": product.graph.m}
     code = 0
-    # Verified before the write, so an input error leaves no file behind.
+    # Verified before the write, so an input error leaves no file behind,
+    # and on the product above rather than on one rebuilt per check.
     if args.verify:
         tol = _resolve_tol(args)
-        identity = product_matrix_identity(ht, gs)
-        match = verify_product_spectrum(ht, gs, tol)
+        identity = _matrix_identity(product, ht, gs)
+        match = _spectrum_match(product, ht, gs, tol)
         doc["tol"] = tol
         doc["matrix_identity"] = identity
         doc["spectrum_match"] = match

@@ -1,11 +1,22 @@
 """Undirected and oriented graph types with exact integer matrices.
 
-Vertices are the integers ``0..n-1``.  Edges are kept in canonical form:
-each pair stored as ``(u, v)`` with ``u < v`` and the list sorted
-lexicographically.  An orientation adds one direction bit per edge
-(0 means the arc runs ``u -> v`` for the stored pair, 1 means ``v -> u``),
-so reversing arcs, switching, and comparing orientations are all bit
-operations on a fixed edge order.
+Vertices are the integers ``0..n-1``, with ``n`` at most
+:data:`VERTEX_CAP`.  Edges are kept in canonical form: each pair stored
+as ``(u, v)`` with ``u < v`` and the list sorted lexicographically.  An
+orientation adds one direction bit per edge (0 means the arc runs
+``u -> v`` for the stored pair, 1 means ``v -> u``), so reversing arcs,
+switching, and comparing orientations are all bit operations on a fixed
+edge order.
+
+Each graph keeps its canonical edges twice: as the public tuple
+``edges``, which equality and hashing read, and as one read-only int64
+``(m, 2)`` array, made once when the graph is built, which the degree,
+certificate, product and file-writing code read.  An edge list is
+checked for self-loops, out-of-range endpoints and duplicates by one
+numpy pass and one sort, which also gives the direction bits of an arc
+list.  A list of fewer than ``_SHORT`` (64) pairs is checked in Python
+instead, and its graph makes the array on first use, because numpy's
+fixed cost per call outweighs the work on such small inputs.
 
 All types are immutable after construction and hashable.
 """
@@ -32,28 +43,185 @@ X, Y = 0, 1
 #: Largest order for which a dense n x n matrix is built.
 ORDER_CAP = 4096
 
+#: Largest vertex count of any graph: 2**18, the order of the depth-6
+#: K_{4,4} family member.  Graphs keep O(n) arrays per vertex and
+#: reports list O(n) values, so the count is checked before anything of
+#: size n is allocated.
+VERTEX_CAP = 2**18
 
-def _normalize_edges(n: int, edges: Iterable) -> tuple[tuple[int, int], ...]:
-    seen = set()
-    out = []
-    for e in edges:
+# Values beyond int64 are outside 0..n-1 for any n under the cap.
+_INT64 = 2**63
+
+
+def _check_order(n: int) -> None:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if n > VERTEX_CAP:
+        raise BudgetExceededError(
+            f"vertex count {n} is over the cap of {VERTEX_CAP}"
+        )
+
+
+def _int64_pairs(flat: list[int]) -> np.ndarray:
+    # Python ints u0, v0, u1, v1, ... as an int64 (k, 2) array.  A pair
+    # with a value beyond int64 is bad whatever n is; a stand-in in range
+    # keeps whether it is a self-loop or out of range.
+    try:
+        return np.array(flat, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        pairs = zip(flat[::2], flat[1::2])
+        return np.array(
+            [
+                (u, v) if -_INT64 <= min(u, v) and max(u, v) < _INT64
+                else (-1, -1) if u == v else (-1, -2)
+                for u, v in pairs
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+
+
+# Edge lists shorter than this are checked and sorted in Python, and
+# their graphs build the edge array on first use.  Each numpy call has a
+# fixed cost: with every list on the numpy route, the orientation-sweep
+# benchmark workload, whose files hold 12 arcs, ran about 30% slower in
+# wall time on a 2-vCPU VM.  Parsing in a loop, the two routes cost
+# about the same at 32 to 64 pairs.
+_SHORT = 64
+
+
+def _read_pairs(items: Iterable) -> tuple[list[int], Exception | None]:
+    # The leading items that are pairs of integers, as flat Python ints
+    # u0, v0, u1, v1, ..., and the error that unpacking or int() raised
+    # on the next item (None if there is none).
+    flat: list[int] = []
+    for e in items:
+        try:
+            a, b = e
+            flat += (int(a), int(b))
+        except (TypeError, ValueError, OverflowError) as exc:
+            return flat, exc
+    return flat, None
+
+
+def _pairs(flat: list[int]):
+    # Flat ints in the form _sort_edges takes for their count.
+    return flat if len(flat) < 2 * _SHORT else _int64_pairs(flat)
+
+
+def _int_pairs(items: Sequence):
+    # _read_pairs for _sort_edges.  numpy reads a long well-formed list in
+    # one call.
+    if len(items) >= _SHORT:
+        try:
+            pairs = np.asarray(items, dtype=np.int64)
+            if pairs.shape == (len(items), 2):
+                return pairs, None
+        except (TypeError, ValueError, OverflowError):
+            pass
+    flat, error = _read_pairs(items)
+    return _pairs(flat), error
+
+
+def _sort_edges(n: int, pairs):
+    """Sort vertex pairs into canonical edges, or find the first bad one.
+
+    ``pairs`` is a flat list of Python ints when shorter than ``_SHORT``
+    pairs and an int64 ``(k, 2)`` array otherwise.  Returns
+    ``(edges, ends, order, None)``: the canonical edge tuple, its
+    ``(m, 2)`` array (None for a short list) and the position in
+    ``pairs`` of each edge.  Otherwise returns ``(None, None, None,
+    (error, i, j))`` for the first bad pair ``i`` in input order:
+    ``error`` is :class:`SelfLoopError`, :class:`VertexOutOfRangeError`
+    or :class:`DuplicateEdgeError`, tested in that order, and a duplicate
+    repeats the earlier pair ``j``.
+    """
+    if isinstance(pairs, list):
+        return _sort_short(n, pairs)
+    ends = np.sort(pairs, axis=1)
+    lo, hi = ends.T
+    # As unsigned, a negative end is over n too.
+    valid = (ends.view(np.uint64) < n).all() and (lo < hi).all()
+    keys = lo * n + hi
+    order = keys.argsort()
+    keys = keys[order]
+    if valid and (keys[1:] != keys[:-1]).all():
+        ends = ends[order]
+        ends.flags.writeable = False
+        return tuple(zip(*ends.T.tolist())), ends, order, None
+    return None, None, None, _first_fault(n, ends)
+
+
+def _sort_short(n: int, flat: list[int]):
+    first: dict[tuple[int, int], int] = {}
+    for i, (u, v) in enumerate(zip(flat[::2], flat[1::2])):
+        if u > v:
+            u, v = v, u
+        if u == v:
+            return None, None, None, (SelfLoopError, i, i)
+        if u < 0 or v >= n:
+            return None, None, None, (VertexOutOfRangeError, i, i)
+        j = first.setdefault((u, v), i)
+        if j != i:
+            return None, None, None, (DuplicateEdgeError, i, j)
+    edges = tuple(sorted(first))
+    return edges, None, [first[e] for e in edges], None
+
+
+def _first_fault(n: int, ends: np.ndarray) -> tuple[type, int, int]:
+    # The fault _sort_edges reports, for row-sorted pairs that have one.
+    lo, hi = ends.T
+    bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
+    k = int(bad[0]) if bad.size else len(ends)
+    keys = lo[:k] * n + hi[:k]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    again = order[1:][keys[1:] == keys[:-1]]
+    if again.size:
+        # A stable sort puts the first copy of a pair first among equals.
+        i = int(again.min())
+        return DuplicateEdgeError, i, int(order[np.searchsorted(keys, lo[i] * n + hi[i])])
+    return (SelfLoopError if lo[k] == hi[k] else VertexOutOfRangeError), k, k
+
+
+def _normalize_edges(n: int, edges: Iterable):
+    # Check n and the edge list, in input order, and return the pairs as
+    # read, then what _sort_edges returns for them.
+    _check_order(n)
+    if not isinstance(edges, (tuple, list, np.ndarray)):
+        edges = tuple(edges)
+    pairs, error = _int_pairs(edges)
+    edge_tuple, ends, order, fault = _sort_edges(n, pairs)
+    if fault is not None:
+        kind, i, _ = fault
+        u, v = sorted(int(x) for x in edges[i])
+        if kind is SelfLoopError:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        if kind is VertexOutOfRangeError:
+            raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+        raise DuplicateEdgeError(f"edge ({u}, {v}) listed twice")
+    if error is not None:
+        # The pairs read stop at the item that raised.
+        e = edges[len(pairs) // 2 if isinstance(pairs, list) else len(pairs)]
         try:
             a, b = e
         except ValueError:
             raise ValueError(f"edge {e!r} is not a pair") from None
-        u, v = int(a), int(b)
-        if u > v:
-            u, v = v, u
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        if u < 0 or v >= n:
-            raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-        if (u, v) in seen:
-            raise DuplicateEdgeError(f"edge ({u}, {v}) listed twice")
-        seen.add((u, v))
-        out.append((u, v))
-    out.sort()
-    return tuple(out)
+        raise error
+    return pairs, edge_tuple, ends, order
+
+
+def _set_edges(g: Graph, edges: tuple, ends: np.ndarray | None) -> None:
+    object.__setattr__(g, "edges", edges)
+    if ends is not None:
+        object.__setattr__(g, "_ends", ends)
+
+
+def _canonical_graph(n: int, edges: tuple, ends: np.ndarray | None) -> Graph:
+    # A graph from edges already checked and sorted by _sort_edges.
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    _set_edges(g, edges, ends)
+    return g
 
 
 @dataclass(frozen=True)
@@ -64,9 +232,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        object.__setattr__(self, "edges", _normalize_edges(self.n, self.edges))
+        _set_edges(self, *_normalize_edges(self.n, self.edges)[1:3])
 
     @property
     def m(self) -> int:
@@ -83,6 +249,17 @@ class Graph:
         return inc
 
     @cached_property
+    def _ends(self) -> np.ndarray:
+        # Stored at construction, except for graphs from short edge lists.
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        ends.flags.writeable = False
+        return ends
+
+    @cached_property
+    def _degree(self) -> np.ndarray:
+        return np.bincount(self._ends.ravel(), minlength=self.n)
+
+    @cached_property
     def _two_coloring(self) -> tuple[Bipartition | None, tuple]:
         # The canonical bipartition and its (parent, depth) forest, or no
         # bipartition and an odd cycle: one colouring per graph, whoever
@@ -95,7 +272,7 @@ class Graph:
         return self._incidence[v].keys()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self._incidence.values())
+        return tuple(self._degree.tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._incidence.get(u, ())
@@ -106,18 +283,17 @@ class Graph:
 
     def regular_degree(self) -> int | None:
         """The common degree if the graph is regular, else ``None``."""
-        degs = set(self.degrees())
         if self.n == 0:
             return 0
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        d = self._degree
+        return int(d[0]) if (d == d[0]).all() else None
 
 
 def build_graph(n: int, edges: Iterable) -> Graph:
     """Construct a canonical :class:`Graph` from unordered vertex pairs.
 
-    Rejects self-loops, duplicate pairs, and out-of-range endpoints.
+    Rejects self-loops, duplicate pairs, and out-of-range endpoints, and
+    a vertex count over :data:`VERTEX_CAP`.
     """
     return Graph(n, tuple(tuple(e) for e in edges))
 
@@ -139,6 +315,10 @@ class OrientedGraph:
             raise ValueError("direction bits must be 0 or 1")
         object.__setattr__(self, "direction", bits)
 
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        return np.array(self.direction, dtype=np.int8)
+
     @property
     def n(self) -> int:
         return self.graph.n
@@ -148,22 +328,51 @@ class OrientedGraph:
         u, v = self.graph.edges[i]
         return (v, u) if self.direction[i] else (u, v)
 
+    def _arc_ends(self) -> np.ndarray:
+        # The arcs as an int64 (m, 2) array of (tail, head) rows.
+        ends = self.graph._ends
+        return np.where(self._bits[:, None] == 1, ends[:, ::-1], ends)
+
     def arcs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.arc(i) for i in range(self.graph.m))
+        return tuple(zip(*self._arc_ends().T.tolist()))
 
     def reverse(self) -> "OrientedGraph":
         """Reverse every arc."""
         return OrientedGraph(self.graph, tuple(1 - b for b in self.direction))
 
 
+def _oriented(g: Graph, pairs, order) -> OrientedGraph:
+    # The orientation of g by the valid, distinct arcs ``pairs``, where
+    # ``order`` puts them in edge order: bit 1 where the tail is the
+    # larger end.
+    og = object.__new__(OrientedGraph)
+    object.__setattr__(og, "graph", g)
+    if isinstance(pairs, list):
+        bits = tuple(int(pairs[2 * j] > pairs[2 * j + 1]) for j in order)
+    else:
+        arcs = pairs[order]
+        array = (arcs[:, 0] > arcs[:, 1]).view(np.int8)
+        array.flags.writeable = False
+        object.__setattr__(og, "_bits", array)
+        bits = tuple(array.tolist())
+    object.__setattr__(og, "direction", bits)
+    return og
+
+
 def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> OrientedGraph:
-    """Build an oriented graph from explicit (tail, head) pairs."""
-    arcs = [(int(t), int(h)) for t, h in arcs]
-    g = build_graph(n, arcs)
-    # The arcs are valid and distinct, so sorted on their canonical pairs
-    # they fall in edge order.
-    keyed = sorted((t, h, 0) if t < h else (h, t, 1) for t, h in arcs)
-    return OrientedGraph(g, tuple(bit for _, _, bit in keyed))
+    """Build an oriented graph from explicit (tail, head) pairs.
+
+    An arc that is not a pair of integers raises the error of unpacking
+    or reading it before anything else is checked; then the arcs are
+    checked as :func:`build_graph` checks edges.
+    """
+    if not isinstance(arcs, (tuple, list, np.ndarray)):
+        arcs = tuple(arcs)
+    error = _int_pairs(arcs)[1]
+    if error is not None:
+        raise error
+    pairs, edges, ends, order = _normalize_edges(n, arcs)
+    return _oriented(_canonical_graph(n, edges, ends), pairs, order)
 
 
 def _require_dense_order(n: int) -> None:

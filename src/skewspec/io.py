@@ -4,8 +4,14 @@ Graph files are line oriented.  The header is ``ug <n> <m>`` for an
 undirected graph or ``og <n> <m>`` for an oriented one, followed by
 exactly m lines: ``e <u> <v>`` (an edge) or ``a <u> <v>`` (an arc from u
 to v).  Anything from ``#`` to the end of a line is a comment; blank
-lines are skipped.  Serialization emits canonical form (edges sorted,
-one per line, LF endings), so parse(serialize(x)) == x.
+lines are skipped.  ``n`` may not exceed ``VERTEX_CAP``.  Serialization
+emits canonical form (edges sorted, one per line, LF endings), so
+parse(serialize(x)) == x.
+
+The parser reads the body into one int64 ``(m, 2)`` array in a single
+pass over its lines and hands it to the graph module's edge check, which
+also gives an arc list's direction bits; the writer formats the graph's
+edge array.  A malformed file is reported at its first bad line.
 
 Reports are JSON with insertion-ordered keys and floats printed with 12
 significant digits, so identical inputs produce byte-identical output.
@@ -15,16 +21,32 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import compress, repeat
 
-from .errors import ParseError
-from .graph import Graph, OrientedGraph, build_graph, from_arcs
+from .errors import (
+    DuplicateEdgeError,
+    ParseError,
+    SelfLoopError,
+)
+from .graph import (
+    VERTEX_CAP,
+    Graph,
+    OrientedGraph,
+    _canonical_graph,
+    _pairs,
+    _oriented,
+    _sort_edges,
+)
 
 
-def _significant_lines(text: str):
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield num, line
+def _significant_lines(text: str) -> tuple[list[int], list[str]]:
+    # The 1-based numbers and the text of the lines left once comments
+    # are cut and blank lines dropped.
+    raw = text.splitlines()
+    if "#" in text:
+        raw = [r.split("#", 1)[0] for r in raw]
+    lines = list(map(str.strip, raw))
+    return list(compress(range(1, len(lines) + 1), lines)), list(filter(None, lines))
 
 
 def _int_fields(num: int, line: str, expected: int) -> list[int]:
@@ -40,19 +62,54 @@ def _int_fields(num: int, line: str, expected: int) -> list[int]:
     return out
 
 
+def _body_pairs(nums: list[int], lines: list[str], tag: str):
+    # The body lines' endpoints in the form _sort_edges takes, and the
+    # ParseError of the first line that is not ``tag <int> <int>`` (None
+    # if every line is); the pairs are those of the lines before it.
+    #
+    # All lines are split at once.  When every line starts with the
+    # tag's letter, no line starts with an integer; so if the tokens
+    # after each third one are integers, the k lines start at the k
+    # multiples of 3 among 3k tokens and have 3 tokens each, and the
+    # tokens at those multiples are the tags.
+    tokens = " ".join(lines).split()
+    if (
+        len(tokens) == 3 * len(lines)
+        and all(map(str.startswith, lines, repeat(tag)))
+        and tokens[0::3].count(tag) == len(lines)
+    ):
+        del tokens[0::3]
+        try:
+            return _pairs(list(map(int, tokens))), None
+        except ValueError:
+            pass
+    flat: list[int] = []
+    for num, line in zip(nums, lines):
+        try:
+            found = line.split()[0]
+            if found != tag:
+                raise ParseError(num, f"expected {tag!r} line, found {found!r}")
+            flat += _int_fields(num, line, 3)
+        except ParseError as exc:
+            return _pairs(flat), exc
+    return _pairs(flat), None
+
+
 def parse_graph(text: str) -> Graph | OrientedGraph:
     """Parse a graph file into a Graph (ug) or OrientedGraph (og).
 
     Raises :class:`ParseError` carrying the 1-based line number and a
-    reason for any malformed input: bad header, wrong field counts,
-    out-of-range endpoints, self-loops, duplicate edges, or a body whose
-    length disagrees with the header.
+    reason for any malformed input: bad header, a vertex count over
+    ``VERTEX_CAP``, wrong field counts, out-of-range endpoints,
+    self-loops, duplicate edges, or a body whose length disagrees with
+    the header.  The first bad line is reported; within a line the tag,
+    the field count, the integers, a self-loop, the range and a
+    duplicate are checked in that order.
     """
-    lines = _significant_lines(text)
-    try:
-        num, header = next(lines)
-    except StopIteration:
-        raise ParseError(1, "empty file: missing header") from None
+    nums, lines = _significant_lines(text)
+    if not lines:
+        raise ParseError(1, "empty file: missing header")
+    num, header = nums[0], lines[0]
     parts = header.split()
     if len(parts) != 3 or parts[0] not in ("ug", "og"):
         raise ParseError(num, "header must be 'ug <n> <m>' or 'og <n> <m>'")
@@ -60,40 +117,40 @@ def parse_graph(text: str) -> Graph | OrientedGraph:
     n, m = _int_fields(num, header, 3)
     if n < 0 or m < 0:
         raise ParseError(num, "vertex and edge counts must be nonnegative")
+    if n > VERTEX_CAP:
+        raise ParseError(num, f"vertex count {n} is over the cap of {VERTEX_CAP}")
     tag = "a" if kind == "og" else "e"
-    pairs: list[tuple[int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
-    last = num
-    for num, line in lines:
-        last = num
-        if len(pairs) == m:
-            raise ParseError(num, f"more than {m} {tag!r} lines")
-        if line.split()[0] != tag:
-            raise ParseError(num, f"expected {tag!r} line, found {line.split()[0]!r}")
-        u, v = _int_fields(num, line, 3)
-        if u == v:
-            raise ParseError(num, f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(num, f"endpoint outside 0..{n - 1}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(num, f"edge {key} already given on line {seen[key]}")
-        seen[key] = num
-        pairs.append((u, v))
-    if len(pairs) != m:
-        raise ParseError(last + 1, f"header promises {m} lines, found {len(pairs)}")
-    if kind == "ug":
-        return build_graph(n, pairs)
-    return from_arcs(n, pairs)
+    body_nums, body = nums[1 : m + 1], lines[1 : m + 1]
+    pairs, error = _body_pairs(body_nums, body, tag)
+    edges, ends, order, fault = _sort_edges(n, pairs)
+    if fault is not None:
+        kind_error, i, j = fault
+        u, v = _int_fields(body_nums[i], body[i], 3)
+        if kind_error is SelfLoopError:
+            reason = f"self-loop at vertex {u}"
+        elif kind_error is DuplicateEdgeError:
+            reason = f"edge {(min(u, v), max(u, v))} already given on line {body_nums[j]}"
+        else:
+            reason = f"endpoint outside 0..{n - 1}"
+        raise ParseError(body_nums[i], reason)
+    if error is not None:
+        raise error
+    if len(lines) > m + 1:
+        raise ParseError(nums[m + 1], f"more than {m} {tag!r} lines")
+    if len(body) < m:
+        raise ParseError(nums[-1] + 1, f"header promises {m} lines, found {len(body)}")
+    g = _canonical_graph(n, edges, ends)
+    return g if kind == "ug" else _oriented(g, pairs, order)
 
 
 def serialize_graph(obj: Graph | OrientedGraph) -> str:
     """Canonical text form; round-trips through :func:`parse_graph`."""
     if isinstance(obj, OrientedGraph):
-        head = f"og {obj.n} {obj.graph.m}\n"
-        return head + "".join(f"a {t} {h}\n" for t, h in obj.arcs())
-    head = f"ug {obj.n} {obj.m}\n"
-    return head + "".join(f"e {u} {v}\n" for u, v in obj.edges)
+        kind, tag, ends = "og", "a", obj._arc_ends()
+    else:
+        kind, tag, ends = "ug", "e", obj._ends
+    m = len(ends)
+    return f"{kind} {obj.n} {m}\n" + (f"{tag} %d %d\n" * m) % tuple(ends.ravel().tolist())
 
 
 def format_real(v: float) -> str:

@@ -114,12 +114,12 @@ def _column_entries(og: OrientedGraph):
     # The nonzero entries of S, column by column with rows ascending: row,
     # edge position, value, and how many later entries share the column.
     g = og.graph
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    ends = g._ends
     rows, cols = np.concatenate((ends, ends[:, ::-1])).T
     by_col = np.lexsort((rows, cols))
     rows, cols, edge = rows[by_col], cols[by_col], np.tile(np.arange(g.m), 2)[by_col]
     later = np.cumsum(np.bincount(cols, minlength=g.n))[cols] - np.arange(cols.size) - 1
-    flip = 1 - 2 * np.array(og.direction, dtype=np.int64)
+    flip = 1 - 2 * og._bits.astype(np.int64)
     return rows, edge, np.where(rows < cols, 1, -1) * flip[edge], later
 
 
@@ -186,7 +186,7 @@ def skew_gram(og: OrientedGraph) -> np.ndarray:
         # Held neither while the next block is built nor by the sum below.
         del i, f, keys
     gram = upper + upper.T
-    gram[np.diag_indices(n)] = og.graph.degrees()
+    gram[np.diag_indices(n)] = og.graph._degree
     return gram
 
 
@@ -342,7 +342,7 @@ def is_gram_scalar(og: OrientedGraph, k: int | None = None) -> bool:
         k = og.graph.regular_degree()
         if k is None:
             raise NotRegularError("graph is not regular")
-    if any(d != k for d in og.graph.degrees()):
+    if (og.graph._degree != k).any():
         return False
     for i, j, _, _, f in gram_terms(og):
         keys = i * og.n + j

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: spectra
 come from a plain eigensolve of S itself rather than S S^T, cycles from
-brute force over vertex subsets, trees from Pruefer sequences.
+brute force over vertex subsets, trees from Pruefer sequences, and edge
+lists and graph files are checked one edge and one line at a time with
+Python sets and dicts rather than numpy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,17 @@ from itertools import combinations, product
 
 import numpy as np
 
-from skewspec import Graph, OrientedGraph, build_graph, path, skew_adjacency
+from skewspec import (
+    DuplicateEdgeError,
+    Graph,
+    OrientedGraph,
+    ParseError,
+    SelfLoopError,
+    VertexOutOfRangeError,
+    build_graph,
+    path,
+    skew_adjacency,
+)
 
 
 def direct_skew_spectrum(og: OrientedGraph) -> list[float]:
@@ -106,3 +118,104 @@ def random_orientation(rng, g: Graph) -> OrientedGraph:
 def all_orientations(g: Graph):
     for bits in product((0, 1), repeat=g.m):
         yield OrientedGraph(g, bits)
+
+
+def reference_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
+    """The canonical edge tuple of ``Graph(n, edges)``, one edge at a time.
+
+    Raises what the graph constructor raises, for the first bad edge in
+    input order: a non-pair, a self-loop, a range error, a duplicate.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    seen = set()
+    out = []
+    for e in edges:
+        try:
+            a, b = e
+        except ValueError:
+            raise ValueError(f"edge {e!r} is not a pair") from None
+        u, v = int(a), int(b)
+        if u > v:
+            u, v = v, u
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        if u < 0 or v >= n:
+            raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+        if (u, v) in seen:
+            raise DuplicateEdgeError(f"edge ({u}, {v}) listed twice")
+        seen.add((u, v))
+        out.append((u, v))
+    out.sort()
+    return tuple(out)
+
+
+def reference_arcs(n: int, arcs) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """``(edges, direction)`` of ``from_arcs(n, arcs)``: every arc read
+    first, then checked as an edge list, then bits from a keyed sort."""
+    arcs = [(int(t), int(h)) for t, h in arcs]
+    edges = reference_edges(n, arcs)
+    keyed = sorted((t, h, 0) if t < h else (h, t, 1) for t, h in arcs)
+    return edges, tuple(bit for _, _, bit in keyed)
+
+
+def _int_fields(num: int, line: str, expected: int) -> list[int]:
+    parts = line.split()
+    if len(parts) != expected:
+        raise ParseError(num, f"expected {expected} fields, found {len(parts)}")
+    out = []
+    for p in parts[1:]:
+        try:
+            out.append(int(p))
+        except ValueError:
+            raise ParseError(num, f"{p!r} is not an integer") from None
+    return out
+
+
+def reference_parse(text: str) -> tuple:
+    """``parse_graph`` one line at a time, without the vertex cap.
+
+    Returns ``("ug", n, edges)`` or ``("og", n, edges, direction)``, or
+    raises the :class:`ParseError` of the first bad line.
+    """
+    lines = (
+        (num, line)
+        for num, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].strip())
+    )
+    try:
+        num, header = next(lines)
+    except StopIteration:
+        raise ParseError(1, "empty file: missing header") from None
+    parts = header.split()
+    if len(parts) != 3 or parts[0] not in ("ug", "og"):
+        raise ParseError(num, "header must be 'ug <n> <m>' or 'og <n> <m>'")
+    kind = parts[0]
+    n, m = _int_fields(num, header, 3)
+    if n < 0 or m < 0:
+        raise ParseError(num, "vertex and edge counts must be nonnegative")
+    tag = "a" if kind == "og" else "e"
+    pairs: list[tuple[int, int]] = []
+    seen: dict[tuple[int, int], int] = {}
+    last = num
+    for num, line in lines:
+        last = num
+        if len(pairs) == m:
+            raise ParseError(num, f"more than {m} {tag!r} lines")
+        if line.split()[0] != tag:
+            raise ParseError(num, f"expected {tag!r} line, found {line.split()[0]!r}")
+        u, v = _int_fields(num, line, 3)
+        if u == v:
+            raise ParseError(num, f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(num, f"endpoint outside 0..{n - 1}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ParseError(num, f"edge {key} already given on line {seen[key]}")
+        seen[key] = num
+        pairs.append((u, v))
+    if len(pairs) != m:
+        raise ParseError(last + 1, f"header promises {m} lines, found {len(pairs)}")
+    if kind == "ug":
+        return ("ug", n, reference_edges(n, pairs))
+    return ("og", n, *reference_arcs(n, pairs))

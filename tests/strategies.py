@@ -1,10 +1,29 @@
 """Hypothesis strategies for small graphs and orientations."""
 
+import contextlib
 from itertools import combinations
 
 from hypothesis import strategies as st
 
+import skewspec.graph as graph_module
 from skewspec import Graph, OrientedGraph, build_graph
+
+
+@contextlib.contextmanager
+def numpy_edge_route():
+    """Check every edge list on the numpy route, short ones included,
+    for the duration of the block."""
+    saved = graph_module._SHORT
+    graph_module._SHORT = 0
+    try:
+        yield
+    finally:
+        graph_module._SHORT = saved
+
+
+#: The edge check's routes: the default (Python below ``_SHORT`` pairs)
+#: and numpy for every list.
+EDGE_ROUTES = (contextlib.nullcontext, numpy_edge_route)
 
 
 @st.composite

@@ -9,7 +9,9 @@ from itertools import combinations
 
 import pytest
 
+import skewspec.cli as cli_module
 import skewspec.graph as graph_module
+import skewspec.products as products_module
 import skewspec.switching as switching_module
 from skewspec import (
     elementary_orientation,
@@ -326,6 +328,21 @@ class TestProduct:
         assert code == 2 and "cap" in err
         assert not out.exists()
 
+    def test_verify_builds_the_product_once(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        build = products_module.oriented_product
+
+        def counted(ht, gs):
+            calls.append(1)
+            return build(ht, gs)
+
+        monkeypatch.setattr(cli_module, "oriented_product", counted)
+        monkeypatch.setattr(products_module, "oriented_product", counted)
+        out = tmp_path / "prod.og"
+        code, doc, _ = invoke(capsys, "product", P2, C4_ODD, str(out), "--verify")
+        assert code == 0 and doc["matrix_identity"] and doc["spectrum_match"]
+        assert len(calls) == 1
+
     def test_non_bipartite_left_factor_rejected(self, capsys, tmp_path):
         tri = tmp_path / "tri.og"
         tri.write_text("og 3 3\na 0 1\na 1 2\na 2 0\n")
@@ -505,6 +522,16 @@ class TestInputErrors:
         assert code == 2 and doc is None
         assert err.startswith("error:") and err.count("\n") == 1
         assert "UTF-8" in err
+
+    @pytest.mark.parametrize("command", ["check", "product"])
+    def test_huge_vertex_count_is_an_input_error(self, capsys, tmp_path, command):
+        f = tmp_path / "huge.og"
+        f.write_text("og 100000000000000000000 0\n")
+        files = [str(f)] if command == "check" else [str(f), P2, str(tmp_path / "x.og")]
+        code, doc, err = invoke(capsys, command, *files)
+        assert code == 2 and doc is None
+        assert err.startswith("error: line 1:") and err.count("\n") == 1
+        assert "cap" in err
 
     def test_parse_error_reports_line(self, capsys, tmp_path):
         f = tmp_path / "bad.og"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import skewspec.graph as graph_module
 from skewspec import (
+    VERTEX_CAP,
     BudgetExceededError,
     DuplicateEdgeError,
     Graph,
@@ -25,7 +27,45 @@ from skewspec import (
     path,
     skew_adjacency,
 )
-from strategies import graphs, oriented_graphs
+from oracles import reference_arcs, reference_edges
+from strategies import EDGE_ROUTES, graphs, oriented_graphs
+
+
+@st.composite
+def mutated_pairs(draw):
+    """``(n, pairs)``: the arcs of a small orientation, shuffled, then up
+    to four edits that may break them: self-loops, range errors (values
+    beyond int64 too), duplicates, non-pairs and non-integers."""
+    og = draw(oriented_graphs(max_n=6))
+    n = og.n
+    pairs = list(draw(st.permutations(og.arcs())))
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["loop", "range", "huge", "duplicate", "shape", "word"]))
+        at = draw(st.integers(0, len(pairs)))
+        u = draw(st.integers(0, max(n - 1, 0)))
+        if edit == "loop":
+            pairs.insert(at, (u, u))
+        elif edit == "range":
+            bad = draw(st.sampled_from([n, n + 2, -1]))
+            pairs.insert(at, (u, bad) if draw(st.booleans()) else (bad, u))
+        elif edit == "huge":
+            big = draw(st.sampled_from([2**63, -(2**63) - 1, 10**30]))
+            pairs.insert(at, (big, big) if draw(st.booleans()) else (u, big))
+        elif edit == "duplicate" and at < len(pairs):
+            copy = pairs[at][::-1] if draw(st.booleans()) else pairs[at]
+            pairs.insert(draw(st.integers(at + 1, len(pairs))), copy)
+        elif edit == "shape":
+            pairs.insert(at, draw(st.sampled_from([(u,), (u, u, u), ()])))
+        elif edit == "word":
+            pairs.insert(at, (u, draw(st.sampled_from(["x", "1.5", None]))))
+    return n, pairs
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:
+        return (type(exc), str(exc))
 
 
 class TestBuildGraph:
@@ -75,6 +115,43 @@ class TestBuildGraph:
             build_graph(3, edges)
         assert type(info.value) is exc
         assert str(info.value) == message
+
+    @given(mutated_pairs())
+    def test_build_graph_matches_reference(self, case):
+        n, pairs = case
+        expected = outcome(lambda: reference_edges(n, tuple(tuple(e) for e in pairs)))
+        for route in EDGE_ROUTES:
+            with route():
+                assert outcome(lambda: build_graph(n, pairs).edges) == expected
+
+    @given(mutated_pairs())
+    def test_from_arcs_matches_reference(self, case):
+        n, pairs = case
+        expected = outcome(reference_arcs, n, pairs)
+        for route in EDGE_ROUTES:
+            with route():
+                og = outcome(from_arcs, n, pairs)
+                got = og if isinstance(og, tuple) else (og.graph.edges, og.direction)
+                assert got == expected
+
+    def test_vertex_cap(self):
+        assert build_graph(VERTEX_CAP, [(0, VERTEX_CAP - 1)]).n == VERTEX_CAP
+        for make in (build_graph, from_arcs):
+            with pytest.raises(BudgetExceededError) as info:
+                make(10**20, [(0, 1)])
+            assert str(info.value) == f"vertex count {10**20} is over the cap of {VERTEX_CAP}"
+
+    @pytest.mark.parametrize("route", EDGE_ROUTES)
+    def test_edge_array_matches_edge_tuple(self, route):
+        with route():
+            g = build_graph(5, [(4, 2), (1, 0), (3, 1)])
+            og = from_arcs(5, [(4, 2), (0, 1), (3, 1)])
+            empty = build_graph(3, [])
+        assert g._ends.tolist() == [list(e) for e in g.edges]
+        assert g._ends.dtype == np.int64 and not g._ends.flags.writeable
+        assert og._bits.tolist() == list(og.direction) == [0, 1, 1]
+        assert empty._ends.shape == (0, 2)
+        assert g.degrees() == (1, 2, 1, 1, 1) and g.regular_degree() is None
 
     def test_degrees_and_lookup(self):
         g = path(4)

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import math
 import random
 from itertools import product
@@ -6,8 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import skewspec.cli as cli_module
 import skewspec.graph as graph_module
+import skewspec.products as products_module
 from skewspec import (
+    VERTEX_CAP,
     BudgetExceededError,
     NotBipartiteError,
     OrientedGraph,
@@ -25,6 +31,7 @@ from skewspec import (
     path,
     predicted_product_spectrum,
     product_matrix_identity,
+    serialize_graph,
     product_skew_kronecker,
     seed_orientation,
     skew_adjacency,
@@ -83,6 +90,15 @@ class TestOrientedProduct:
         n = gs.n
         h_arcs = {(t * n + v, head * n + v) for t, head in ht.arcs() for v in range(n)}
         assert h_arcs <= set(op.arcs())
+
+    def test_order_over_the_vertex_cap_builds_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built arcs over the cap")
+
+        monkeypatch.setattr(products_module, "from_arcs", refuse)
+        wide = from_arcs(VERTEX_CAP // 2 + 1, [(0, 1)])
+        with pytest.raises(BudgetExceededError):
+            oriented_product(from_arcs(2, [(0, 1)]), wide)
 
     def test_reversal_happens_on_y_fibers_only(self):
         p2 = from_arcs(2, [(0, 1)])
@@ -235,3 +251,38 @@ class TestVerifyProductSpectrum:
         op = oriented_product(ht, gs)
         assert np.array_equal(skew_gram(op), 7 * np.eye(32, dtype=np.int64))
         assert is_gram_scalar(op, 7)
+
+
+# sha256 of each family member's file, as written by ``family`` and by
+# serialize_graph of the iterated oriented_product.  They pin the product
+# numbering, the Y-fibre reversal and the file format byte for byte.
+FAMILY_SHA256 = {
+    ("c4", 1): "f5d5f69eb33faf2318263df67aeed5008f25b66f313ad8fa58790420c9ba3cb8",
+    ("c4", 2): "21b745869d379a221ff8ca309e8e10b5096c2b6b0fc04bc5f431a9f8bb0ca155",
+    ("c4", 3): "18ae007f6586ba6a2581286d3d4afb1b23b838f5d8f43e9ddca28fc7a783c487",
+    ("k4", 1): "72ea7dead72bfbe20ac8354cbe3aab0cfc85f71be0f019001aa5142efdb0c9f9",
+    ("k4", 2): "d9a8641c0ec62ec052df214ed3d0a9f76c6d20bb2f9d161cda59586b4ae7ccfe",
+    ("k4", 3): "29c8e810b69ea25b498400a89d8880d63ce31ba4e70130ec242e9022a1874c95",
+    ("k44", 1): "6c414e9d19906830f19980ffe2ceee014f4d9a2b8a1168765d5c8ee0283aaa01",
+    ("k44", 2): "4c84bd4cec5b154b6fac241da72d2cdfda02b9648762a3b43917a7819ee356d1",
+    ("k44", 3): "a1face74fe0ae674fa661723fc2bd0e30bb3d49f507d3734631ce8d5e10430dd",
+    ("k44", 4): "b1fe081226781edc0ac9ce6c5edee8820a29646e86ebfe9f883985fbddadb28a",
+    ("p2", 1): "fc949d9f23dc9e646eabdf052b6a78ff48d378f6176759a2d578c093d5b62d04",
+    ("p2", 2): "04216a478014723313408a1a6709cf77cddf794667fbb1f7103a7ba8020d4312",
+    ("p2", 3): "e11bea86947ac1df7842a8dd4f111de275931e2449a96cab67822928d27d5eaa",
+}
+
+
+class TestPinnedProducts:
+    @pytest.mark.parametrize("base, r", sorted(FAMILY_SHA256))
+    def test_family_file_and_product_bytes(self, base, r, tmp_path):
+        out = tmp_path / "member.og"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_module.run(["family", str(out), "--base", base, "--r", str(r)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FAMILY_SHA256[base, r]
+        og = seed_orientation(base)
+        for _ in range(r - 1):
+            og = oriented_product(seed_orientation("k44"), og)
+        text = serialize_graph(og).encode()
+        assert hashlib.sha256(text).hexdigest() == FAMILY_SHA256[base, r]
