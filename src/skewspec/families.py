@@ -77,14 +77,18 @@ def generate_family(spec: FamilySpec) -> FamilyResult:
     """Build the depth-r member of the chosen family.
 
     Raises :class:`BudgetExceededError` when the closed-form order would
-    exceed :data:`ORDER_CAP`.
+    exceed :data:`ORDER_CAP`, decided from its exponent, so a huge depth
+    builds no huge number.
     """
     _, _, a, b = _BASES[spec.base]
-    order, degree = 2 ** (3 * spec.r - a), 4 * spec.r - b
-    if order > ORDER_CAP:
+    exponent = 3 * spec.r - a
+    # 2**e > cap exactly when e >= cap.bit_length().
+    if exponent >= ORDER_CAP.bit_length():
         raise BudgetExceededError(
-            f"family member has order {order}, over the cap of {ORDER_CAP}"
+            f"{spec.base} family member of depth {spec.r} has order "
+            f"2**{exponent}, over the cap of {ORDER_CAP}"
         )
+    order, degree = 2**exponent, 4 * spec.r - b
     og = seed_orientation(spec.base)
     left = seed_orientation("k44")
     for _ in range(spec.r - 1):

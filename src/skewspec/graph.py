@@ -183,13 +183,17 @@ def _first_fault(n: int, ends: np.ndarray) -> tuple[type, int, int]:
     return (SelfLoopError if lo[k] == hi[k] else VertexOutOfRangeError), k, k
 
 
-def _normalize_edges(n: int, edges: Iterable):
-    # Check n and the edge list, in input order, and return the pairs as
-    # read, then what _sort_edges returns for them.
-    _check_order(n)
+def _read_edges(edges: Iterable):
+    # The edge list as a sequence, then what _int_pairs reads from it.
     if not isinstance(edges, (tuple, list, np.ndarray)):
         edges = tuple(edges)
-    pairs, error = _int_pairs(edges)
+    return (edges, *_int_pairs(edges))
+
+
+def _normalize_edges(n: int, edges: Sequence, pairs, error):
+    # Check n and the edge list read by _read_edges, in input order, and
+    # return the pairs as read, then what _sort_edges returns for them.
+    _check_order(n)
     edge_tuple, ends, order, fault = _sort_edges(n, pairs)
     if fault is not None:
         kind, i, _ = fault
@@ -232,7 +236,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        _set_edges(self, *_normalize_edges(self.n, self.edges)[1:3])
+        _set_edges(self, *_normalize_edges(self.n, *_read_edges(self.edges))[1:3])
 
     @property
     def m(self) -> int:
@@ -366,12 +370,10 @@ def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> OrientedGraph:
     or reading it before anything else is checked; then the arcs are
     checked as :func:`build_graph` checks edges.
     """
-    if not isinstance(arcs, (tuple, list, np.ndarray)):
-        arcs = tuple(arcs)
-    error = _int_pairs(arcs)[1]
+    arcs, pairs, error = _read_edges(arcs)
     if error is not None:
         raise error
-    pairs, edges, ends, order = _normalize_edges(n, arcs)
+    pairs, edges, ends, order = _normalize_edges(n, arcs, pairs, None)
     return _oriented(_canonical_graph(n, edges, ends), pairs, order)
 
 
@@ -390,9 +392,8 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     """
     _require_dense_order(g.n)
     a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges:
-        a[u, v] = 1
-        a[v, u] = 1
+    u, v = g._ends.T
+    a[u, v] = a[v, u] = 1
     return a
 
 

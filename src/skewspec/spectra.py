@@ -21,9 +21,11 @@ rounding.  A spectrum is found by one of three routes:
   magnitude per +/- pair; the adjacency spectrum solves A.
 
 The off-diagonal terms of S S^T come from one stream, :func:`gram_terms`,
-which yields them oriented, in blocks of whole rows of O(n^2) terms.  The
-exact certificate and the dense gram read it a block at a time, and the
-orientation search reads all of it for the all-zero orientation.
+which yields them oriented, in blocks of whole rows of O(n^2) terms.  It
+has two readers: the exact certificate reads it a block at a time, and
+the orientation search reads all of it for the all-zero orientation.  The
+dense route's n x n gram, :func:`skew_gram`, reads no stream: it takes
+one vector-matrix product per row of a dense S.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ def gram_terms(og: OrientedGraph):
     whole rows i and at most n^2 terms (one row has fewer: at most n - 1
     columns, each pairing it with fewer than n - 1 rows), so every pair
     (i, j) lies in one block and the terms held at once stay O(n^2) even
-    where the sum of C(deg, 2) over the columns is O(n^3).
+    where the sum of C(deg, 2) over the columns is O(n^3).  Its two
+    readers are :func:`is_gram_scalar` and the orientation search.
     """
     n = og.n
     rows, edge, value, later = _column_entries(og)
@@ -160,33 +163,25 @@ def gram_terms(og: OrientedGraph):
 def skew_gram(og: OrientedGraph) -> np.ndarray:
     """S S^T over the integers, S the skew-symmetric matrix of ``og``.
 
-    The degree sequence on the diagonal plus the :func:`gram_terms` off
-    it, scattered a block at a time, so no dense S is built and memory
-    stays O(n^2) on dense graphs.  Raises :class:`BudgetExceededError`
-    above ``ORDER_CAP`` before allocating.
+    One float32 S, and each row of the int64 gram from one product of
+    that row's nonzero entries with their rows of S: S^T = -S, so row i
+    is -S[i, t] @ S[t] over the neighbours t of i, and its diagonal entry
+    is deg(i).  It reads no :func:`gram_terms`.  Raises
+    :class:`BudgetExceededError` above ``ORDER_CAP`` before allocating.
     """
     n = og.n
     _require_dense_order(n)
-    upper = np.zeros((n, n), dtype=np.int64)
-    # Rows summed per bincount, so its dense output stays n^2 / 16 at most.
-    step = max(1, n // 16)
-    for block in gram_terms(og):
-        i, f = block[0], block[4]
-        keys = i * n + block[1]
-        del block
-        # A block's rows i are ascending and no other block has them, so
-        # each run of rows fills its own rows of upper.  Each sum is of
-        # fewer than n terms of +/-1, exact in float64 and in the cast.
-        for r0 in range(int(i[0]), int(i[-1]) + 1, step) if i.size else ():
-            r1 = min(r0 + step, n)
-            a, b = np.searchsorted(i, (r0, r1))
-            upper[r0:r1] = np.bincount(
-                keys[a:b] - r0 * n, weights=f[a:b], minlength=(r1 - r0) * n
-            ).reshape(r1 - r0, n)
-        # Held neither while the next block is built nor by the sum below.
-        del i, f, keys
-    gram = upper + upper.T
-    gram[np.diag_indices(n)] = og.graph._degree
+    u, v = og.graph._ends.T
+    flip = 1 - 2 * og._bits.astype(np.float32)
+    s = np.zeros((n, n), dtype=np.float32)
+    s[u, v] = flip
+    s[v, u] = -flip
+    gram = np.empty((n, n), dtype=np.int64)
+    # Entries are 0 or +/-1 and each sum has fewer than n <= ORDER_CAP =
+    # 4096 < 2^24 terms, so every float32 partial sum is exact.
+    for i in range(n):
+        t = np.flatnonzero(s[i])
+        gram[i] = -(s[i, t] @ s[t])
     return gram
 
 

@@ -381,6 +381,14 @@ class TestFamily:
         assert code == 2
         assert "order" in err
 
+    def test_huge_depth_is_one_short_input_error(self, capsys, tmp_path):
+        code, doc, err = invoke(
+            capsys, "family", str(tmp_path / "x.og"), "--base", "k44", "--r", "5000"
+        )
+        assert code == 2 and doc is None
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "depth 5000" in err and len(err) < 200
+
     def test_unknown_base_rejected_by_parser(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
             run(["family", str(tmp_path / "x.og"), "--base", "k5", "--r", "1"])

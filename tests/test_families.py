@@ -41,6 +41,15 @@ class TestFamilySpec:
         with pytest.raises(BudgetExceededError):
             generate_family(FamilySpec("k44", 5))
 
+    def test_huge_depth_is_over_the_cap(self):
+        # The cap is decided from the exponent: 2**(3 * 10**21) is never built.
+        with pytest.raises(BudgetExceededError) as info:
+            generate_family(FamilySpec("k44", 10**21))
+        assert str(info.value) == (
+            f"k44 family member of depth {10**21} has order "
+            f"2**{3 * 10**21}, over the cap of 4096"
+        )
+
 
 class TestGeneratedMembers:
     @pytest.mark.parametrize("base", sorted(CLOSED_FORMS))

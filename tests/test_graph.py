@@ -134,6 +134,21 @@ class TestBuildGraph:
                 got = og if isinstance(og, tuple) else (og.graph.edges, og.direction)
                 assert got == expected
 
+    @pytest.mark.parametrize("route", EDGE_ROUTES)
+    def test_from_arcs_reads_its_arcs_once(self, monkeypatch, route):
+        calls = []
+        read = graph_module._int_pairs
+
+        def counted(items):
+            calls.append(len(items))
+            return read(items)
+
+        monkeypatch.setattr(graph_module, "_int_pairs", counted)
+        with route():
+            og = from_arcs(5, [(4, 2), (0, 1), (3, 1)])
+        assert og.direction == (0, 1, 1)
+        assert calls == [3]
+
     def test_vertex_cap(self):
         assert build_graph(VERTEX_CAP, [(0, VERTEX_CAP - 1)]).n == VERTEX_CAP
         for make in (build_graph, from_arcs):

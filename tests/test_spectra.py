@@ -8,6 +8,7 @@ from hypothesis import find, given
 from hypothesis import strategies as st
 
 import skewspec.graph as graph_module
+import skewspec.spectra as spectra_module
 from skewspec import (
     BASE_NAMES,
     FamilySpec,
@@ -133,6 +134,7 @@ class TestSkewSpectrum:
     @given(oriented_graphs(max_n=6))
     def test_gram_diagonal_is_degree_sequence(self, og):
         gram = skew_gram(og)
+        assert gram.dtype == np.int64
         assert tuple(gram.diagonal().tolist()) == og.graph.degrees()
         s = skew_adjacency(og)
         assert np.array_equal(gram, s @ s.T)
@@ -364,6 +366,35 @@ class TestGramTerms:
         og = OrientedGraph(k7, tuple((u * 3 + v) % 2 for u, v in k7.edges))
         assert check_term_stream(og) > 1
         assert check_term_stream(paley_with_source()) > 1
+
+
+class TestSkewGram:
+    def test_reads_no_term_stream(self, monkeypatch):
+        # A non-bipartite orientation off the certificate takes the dense
+        # route, the one reader of skew_gram.
+        def refuse(og):
+            raise AssertionError("skew_gram read the term stream")
+
+        og = OrientedGraph(complete(5), (0, 1, 1, 0, 0, 1, 0, 1, 1, 0))
+        s = skew_adjacency(og)
+        ref = direct_skew_spectrum(og)
+        monkeypatch.setattr(spectra_module, "gram_terms", refuse)
+        assert np.array_equal(skew_gram(og), s @ s.T)
+        mine = skew_spectrum(og).values
+        assert all(abs(a - b) < 1e-9 for a, b in zip(mine, ref))
+        _assert_exactly_antisymmetric(mine)
+
+    def test_cap_checked_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "ORDER_CAP", 3)
+        assert skew_gram(from_arcs(3, [(0, 1)])).shape == (3, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated a matrix over the cap")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(BudgetExceededError):
+            skew_gram(from_arcs(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
 
 
 class TestGramScalar:
