@@ -9,6 +9,11 @@ Exit codes: 0 success (or a true verdict), 1 a clean false verdict,
 agree came out differently), 4 any other exception raised while a
 subcommand runs.
 
+A line that starts with a subcommand's full name is parsed by that
+subcommand's parser alone; any other line, and one with arguments the
+subcommand does not take, goes to the full parser, so usage, help and
+error output are the same either way.
+
 ``check`` and ``product --verify`` compare spectra; their tolerance
 resolves as: --tol flag, then the SKEWSPEC_TOL environment variable,
 then 1e-8.
@@ -256,9 +261,10 @@ def _cmd_equiv(args):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     # Built once per process: parse_args leaves the parser as it was and
     # returns a fresh Namespace, so one parser serves every call of run().
+    # Returns the full parser and each subcommand's parser by name.
     parser = argparse.ArgumentParser(
         prog="skewspec",
         description="Skew spectra, switching equivalence, oriented products, "
@@ -280,8 +286,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comparison tolerance (default: SKEWSPEC_TOL or 1e-8)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser(
+    p = commands["spectrum"] = sub.add_parser(
         "spectrum", parents=[common], help="eigenvalues and energy of a graph file"
     )
     p.add_argument("file")
@@ -294,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_spectrum)
 
-    p = sub.add_parser(
+    p = commands["check"] = sub.add_parser(
         "check",
         parents=[tolerant],
         help="cross-check the three equivalent orientation predicates",
@@ -302,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser(
+    p = commands["product"] = sub.add_parser(
         "product", parents=[tolerant], help="oriented Cartesian product of two files"
     )
     p.add_argument("file_h", help="left factor (oriented, bipartite)")
@@ -315,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_product)
 
-    p = sub.add_parser(
+    p = commands["family"] = sub.add_parser(
         "family", parents=[common], help="generate a maximum-energy family member"
     )
     p.add_argument("out", help="output graph file")
@@ -323,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", required=True, type=int, help="iteration depth (>= 1)")
     p.set_defaults(handler=_cmd_family)
 
-    p = sub.add_parser(
+    p = commands["search"] = sub.add_parser(
         "search",
         parents=[common],
         help="search a regular graph for an orientation on the energy bound",
@@ -337,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_search)
 
-    p = sub.add_parser(
+    p = commands["switch"] = sub.add_parser(
         "switch", parents=[common], help="switch an orientation by a vertex set"
     )
     p.add_argument("file")
@@ -347,18 +354,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_switch)
 
-    p = sub.add_parser(
+    p = commands["equiv"] = sub.add_parser(
         "equiv", parents=[common], help="decide switching equivalence of two files"
     )
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.set_defaults(handler=_cmd_equiv)
 
-    return parser
+    return parser, commands
+
+
+def _parse(argv) -> argparse.Namespace:
+    # A subcommand named in full is parsed by its own parser alone, which
+    # skips the top-level parse that only picks it.  Anything else, and a
+    # subcommand line with arguments its parser does not know, goes to
+    # the full parser, so usage, help and errors read as they always do.
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return parser.parse_args(argv)
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     start = time.perf_counter()
     try:
         doc, code = args.handler(args)

@@ -18,6 +18,13 @@ list.  A list of fewer than ``_SHORT`` (64) pairs is checked in Python
 instead, and its graph makes the array on first use, because numpy's
 fixed cost per call outweighs the work on such small inputs.
 
+Each graph also caches one breadth-first spanning forest, built on first
+use as flat int lists: the search order, each vertex's parent, depth and
+parent edge, and the edges off the tree in the order the search first
+scans them.  :func:`parity_coloring`, the one two-colouring kernel,
+colours along it for any edge parity, so the canonical bipartition and
+every switching-equivalence test of a graph share one search.
+
 All types are immutable after construction and hashable.
 """
 
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, KeysView, Sequence
+from typing import Iterable, KeysView, NamedTuple, Sequence
 
 import numpy as np
 
@@ -264,10 +271,14 @@ class Graph:
         return np.bincount(self._ends.ravel(), minlength=self.n)
 
     @cached_property
+    def _forest(self) -> _Forest:
+        # One breadth-first spanning forest per graph, whoever asks first.
+        return _bfs_forest(self)
+
+    @cached_property
     def _two_coloring(self) -> tuple[Bipartition | None, tuple]:
         # The canonical bipartition and its (parent, depth) forest, or no
-        # bipartition and an odd cycle: one colouring per graph, whoever
-        # asks first.
+        # bipartition and an odd cycle.
         side, found = parity_coloring(self, (1,) * self.m)
         return (None if side is None else Bipartition(side)), found
 
@@ -437,44 +448,91 @@ class Bipartition:
         return tuple(v for v, s in enumerate(self.side) if s == Y)
 
 
+class _Forest(NamedTuple):
+    """A breadth-first spanning forest, as flat int sequences.
+
+    Each component is searched from its minimum-index vertex, neighbours
+    in ascending order.  ``order`` lists the vertices as they are found,
+    which is the order they are expanded in; ``parent``, ``depth`` and
+    ``edge`` give, per vertex, its tree parent, its distance from the
+    root and the position of the edge to its parent (-1, 0 and -1 at a
+    root).  ``cut`` holds the positions of the edges off the tree in the
+    order the search first scans them, from their ``near`` end, expanded
+    first, to their ``far`` end.
+    """
+
+    order: list[int]
+    parent: tuple[int, ...]
+    depth: tuple[int, ...]
+    edge: list[int]
+    cut: list[int]
+    near: list[int]
+    far: list[int]
+
+
+def _bfs_forest(g: Graph) -> _Forest:
+    n, inc = g.n, g._incidence
+    # pos[v] is v's place in ``order``, -1 until v is found.  An edge to a
+    # vertex found but not yet expanded is off the tree and scanned for
+    # the first time.
+    pos = [-1] * n
+    parent, depth, edge = [-1] * n, [0] * n, [-1] * n
+    order: list[int] = []
+    cut: list[int] = []
+    near: list[int] = []
+    far: list[int] = []
+    k = 0
+    for root in range(n):
+        if pos[root] >= 0:
+            continue
+        pos[root] = len(order)
+        order.append(root)
+        while k < len(order):
+            u = order[k]
+            d = depth[u] + 1
+            for w, i in inc[u].items():
+                p = pos[w]
+                if p < 0:
+                    pos[w] = len(order)
+                    order.append(w)
+                    parent[w], depth[w], edge[w] = u, d, i
+                elif p > k:
+                    cut.append(i)
+                    near.append(u)
+                    far.append(w)
+            k += 1
+    return _Forest(order, tuple(parent), tuple(depth), edge, cut, near, far)
+
+
 def parity_coloring(
     g: Graph, parity: Sequence[int]
 ) -> tuple[tuple[int, ...] | None, tuple]:
     """Two-color ``g`` so that colors differ exactly across parity-1 edges.
 
-    ``parity`` holds one 0/1 entry per edge in canonical edge order.  A
-    breadth-first spanning forest forces the colors, with color 0 on the
-    minimum-index vertex of each component, and every other edge is
-    checked against them.  Returns ``(side, (parent, depth))`` when every
-    edge agrees: the forest as each vertex's tree parent (-1 at a root)
-    and its distance from the root.  Otherwise returns ``(None, cycle)``
-    for the first edge {u, w} that disagrees: the tree paths from u and w
-    to their lowest common ancestor joined by that edge, a cycle with odd
+    ``parity`` holds one 0/1 entry per edge in canonical edge order.  The
+    graph's breadth-first spanning forest (built once per graph) forces
+    the colors, with color 0 at the minimum-index vertex of each
+    component, and the edges off the forest are then checked against
+    them in the order the search first scans them.  Returns ``(side,
+    (parent, depth))`` when every edge agrees: the forest as each
+    vertex's tree parent (-1 at a root) and its distance from the root.
+    Otherwise returns ``(None, cycle)`` for the first edge {u, w} that
+    disagrees, u its end expanded first: the tree paths from u and w to
+    their lowest common ancestor joined by that edge, a cycle with odd
     parity sum.  All-ones parity tests bipartiteness; the edges where two
     orientations disagree test switching equivalence.
     """
-    side = [-1] * g.n
-    parent = [-1] * g.n
-    depth = [0] * g.n
-    for root in range(g.n):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for w, i in g._incidence[u].items():
-                    p = parity[i]
-                    if side[w] == -1:
-                        side[w] = side[u] ^ p
-                        parent[w] = u
-                        depth[w] = depth[u] + 1
-                        nxt.append(w)
-                    elif side[u] ^ side[w] != p:
-                        return None, _tree_cycle(u, w, parent, depth)
-            queue = nxt
-    return tuple(side), (tuple(parent), tuple(depth))
+    f = g._forest
+    parent, edge = f.parent, f.edge
+    side = [0] * g.n
+    for v in f.order:
+        e = edge[v]
+        if e >= 0:
+            side[v] = side[parent[v]] ^ parity[e]
+    for i, u, w in zip(f.cut, f.near, f.far):
+        if side[u] ^ side[w] != parity[i]:
+            return None, _tree_cycle(u, w, parent, f.depth)
+    return tuple(side), (parent, f.depth)
 
 
 def _tree_cycle(u, w, parent, depth):

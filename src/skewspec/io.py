@@ -19,9 +19,9 @@ significant digits, so identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import compress, repeat
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
     DuplicateEdgeError,
@@ -172,13 +172,13 @@ def _emit(value, indent: int) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return _quote(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
+        pad = "  " * (indent + 1)
         inner = ",\n".join(
-            "  " * (indent + 1) + f"{json.dumps(str(k))}: {_emit(v, indent + 1)}"
-            for k, v in value.items()
+            f"{pad}{_quote(str(k))}: {_emit(v, indent + 1)}" for k, v in value.items()
         )
         return "{\n" + inner + "\n" + "  " * indent + "}"
     if isinstance(value, (list, tuple)):

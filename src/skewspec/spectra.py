@@ -14,14 +14,17 @@ rounding.  A spectrum is found by one of three routes:
 - bipartite: in X/Y order S = [[0, B], [-B^T, 0]] and A = [[0, |B|],
   [|B|^T, 0]], so both spectra are +/- the singular values of one
   n_X x n_Y block, the square roots of the eigenvalues of a
-  min(n_X, n_Y) square gram, and the rest exact zeros.
+  min(n_X, n_Y) square gram, and the rest exact zeros.  The skew and
+  adjacency spectra of one orientation share the block layout and are
+  found by one stacked product and one eigensolve.
 - dense: any other graph solves n x n.  The eigenvalues of the symmetric
   positive semidefinite S S^T are the squared magnitudes, each nonzero one
   with even multiplicity, so adjacent square roots are averaged into one
   magnitude per +/- pair; the adjacency spectrum solves A.
 
 The off-diagonal terms of S S^T come from one stream, :func:`gram_terms`,
-which yields them oriented, in blocks of whole rows of O(n^2) terms.  It
+which yields them oriented, in blocks of whole rows of at most
+min(n^2, 2^22) terms (a row of more is a block of its own).  It
 has two readers: the exact certificate reads it a block at a time, and
 the orientation search reads all of it for the all-zero orientation.  The
 dense route's n x n gram, :func:`skew_gram`, reads no stream: it takes
@@ -30,6 +33,8 @@ one vector-matrix product per row of a dense S.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +58,8 @@ class Spectrum:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
+        vals = tuple(map(float, self.values))
+        if any(map(operator.lt, vals, vals[1:])):
             raise ValueError("spectrum values must be in descending order")
         object.__setattr__(self, "values", vals)
 
@@ -108,8 +113,13 @@ def adjacency_spectrum(g: Graph) -> Spectrum:
     _require_dense_order(g.n)
     b = g._two_coloring[0]
     if b is not None:
-        return _half_order_spectrum(g, b, None)
+        return _half_order_spectrum(g, b, [None])[0]
     return symmetric_eigenvalues(adjacency_matrix(g))
+
+
+# Most terms in one gram_terms block: 2^22 terms of five int64 columns
+# are 160 MiB.
+_BLOCK_TERMS = 2**22
 
 
 def _column_entries(og: OrientedGraph):
@@ -141,11 +151,14 @@ def gram_terms(og: OrientedGraph):
     Yields blocks of int64 arrays ``(i, j, e_i, e_j, f)``: the rows, the
     positions of the edges {i, t} and {j, t}, and the term under ``og``;
     flipping the direction bit of either edge negates it.  A block holds
-    whole rows i and at most n^2 terms (one row has fewer: at most n - 1
-    columns, each pairing it with fewer than n - 1 rows), so every pair
-    (i, j) lies in one block and the terms held at once stay O(n^2) even
-    where the sum of C(deg, 2) over the columns is O(n^3).  Its two
-    readers are :func:`is_gram_scalar` and the orientation search.
+    whole rows i, so every pair (i, j) lies in one block, and at most
+    min(n^2, 2^22) terms, unless one row alone has more and is a block of
+    its own.  One row has fewer than n^2 (at most n - 1 columns, each
+    pairing it with fewer than n - 1 rows), so the terms held at once
+    stay O(n^2) even where the sum of C(deg, 2) over the columns is
+    O(n^3), and a sparse graph of large order is read in blocks of 2^22
+    terms.  Its two readers are :func:`is_gram_scalar` and the
+    orientation search.
     """
     n = og.n
     rows, edge, value, later = _column_entries(og)
@@ -153,9 +166,11 @@ def gram_terms(og: OrientedGraph):
     row_at = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     row_terms = np.bincount(rows, weights=later, minlength=n).astype(np.int64)
     terms_before = np.concatenate(([0], np.cumsum(row_terms)))
+    bound = min(n * n, _BLOCK_TERMS)
     r0 = 0
     while r0 < n:
-        r1 = int(np.searchsorted(terms_before, terms_before[r0] + n * n, "right")) - 1
+        r1 = int(np.searchsorted(terms_before, terms_before[r0] + bound, "right")) - 1
+        r1 = max(r1, r0 + 1)
         yield _pairs(rows, edge, value, later, by_row[row_at[r0] : row_at[r1]])
         r0 = r1
 
@@ -205,27 +220,37 @@ def paired_spectrum(mags_desc, total: int) -> Spectrum:
     return _from_magnitudes(pos, total)
 
 
-def _magnitudes(gram: np.ndarray, n: int) -> list[float]:
-    # Square roots of the eigenvalues of a positive semidefinite gram of a
-    # graph of order n, descending.  Eigenvalues below the solver's
-    # resolution are zeros of the exact matrix; flooring them here matters
-    # because the square root would otherwise turn an O(eps)-sized residue
-    # into an O(sqrt(eps)) magnitude, far above spectrum-comparison
-    # tolerances.
-    if not gram.size:
-        return []
-    sq = np.linalg.eigvalsh(gram)
-    floor = 64.0 * np.finfo(np.float64).eps * n * max(float(sq[-1]), 1.0)
-    return np.sqrt(np.where(sq > floor, sq, 0.0))[::-1].tolist()
+# Eigenvalues of a gram of order n below _FLOOR * n * max(1, largest)
+# are taken as zeros.
+_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
 
 
-def _half_order_spectrum(g: Graph, b: Bipartition, direction) -> Spectrum:
+def _magnitudes(grams: np.ndarray, n: int) -> list[list[float]]:
+    # Square roots of the eigenvalues of each positive semidefinite gram
+    # in a stack, of a graph of order n, descending: one list per gram,
+    # from one solver call.  Eigenvalues below the solver's resolution
+    # are zeros of the exact matrix; flooring them here, per gram,
+    # matters because the square root would otherwise turn an
+    # O(eps)-sized residue into an O(sqrt(eps)) magnitude, far above
+    # spectrum-comparison tolerances.
+    if not grams.size:
+        return [[] for _ in grams]
+    out = []
+    for sq in np.linalg.eigvalsh(grams).tolist():
+        floor = _FLOOR * n * max(sq[-1], 1.0)
+        out.append([math.sqrt(x) if x > floor else 0.0 for x in reversed(sq)])
+    return out
+
+
+def _half_order_spectrum(g: Graph, b: Bipartition, directions: list) -> list[Spectrum]:
     # In X/Y order S = [[0, B], [-B^T, 0]], so its magnitudes are the
     # singular values of B, the square roots of the eigenvalues of B B^T.
     # The block is built with the smaller side as its rows, so the gram
-    # is min(n_X, n_Y) square.  ``direction`` gives B's signs from the
-    # direction bits; None gives |B|, whose singular values are the
-    # adjacency spectrum's positive half.
+    # is min(n_X, n_Y) square.  One spectrum per entry of ``directions``:
+    # a direction vector gives B's signs from its bits, and None gives
+    # |B|, whose singular values are the adjacency spectrum's positive
+    # half.  The layout is found once and the blocks are stacked, so
+    # every spectrum comes from one product and one eigensolve.
     side = b.side
     at, count = [], [0, 0]
     for s in side:
@@ -235,21 +260,24 @@ def _half_order_spectrum(g: Graph, b: Bipartition, direction) -> Spectrum:
     rows, cols = count[r], count[1 - r]
     # S[u, v] is 1 for bit 0 (the arc u -> v) and -1 for bit 1, and a row
     # end v reads S[v, u] = -S[u, v]; |B| has neither sign.
-    signs = [1] * g.m if direction is None else [1 - 2 * d for d in direction]
-    flip = 1 if direction is None else -1
-    index, value = [], []
-    for (u, v), f in zip(g.edges, signs):
+    index, flip = [], []
+    for u, v in g.edges:
         if side[u] == r:
             index.append(at[u] * cols + at[v])
-            value.append(f)
+            flip.append(1)
         else:
             index.append(at[v] * cols + at[u])
-            value.append(flip * f)
-    block = np.zeros(rows * cols)
-    block[index] = value
-    block = block.reshape(rows, cols)
+            flip.append(-1)
+    blocks = np.zeros((len(directions), rows, cols))
+    for block, direction in zip(blocks, directions):
+        block.reshape(-1)[index] = (
+            1 if direction is None else [-f if d else f for f, d in zip(flip, direction)]
+        )
     # Integer entries and sums below 2^53, so the float product is exact.
-    return _from_magnitudes(_magnitudes(block @ block.T, g.n), g.n)
+    grams = blocks @ blocks.transpose(0, 2, 1)
+    # Freed before the solve, which copies the grams once more.
+    del blocks
+    return [_from_magnitudes(mags, g.n) for mags in _magnitudes(grams, g.n)]
 
 
 def skew_spectrum(og: OrientedGraph) -> Spectrum:
@@ -273,8 +301,9 @@ def skew_spectrum(og: OrientedGraph) -> Spectrum:
     _require_dense_order(n)
     b = og.graph._two_coloring[0]
     if b is not None:
-        return _half_order_spectrum(og.graph, b, og.direction)
-    return paired_spectrum(_magnitudes(skew_gram(og).astype(np.float64), n), n)
+        return _half_order_spectrum(og.graph, b, [og.direction])[0]
+    gram = skew_gram(og).astype(np.float64)
+    return paired_spectrum(_magnitudes(gram[None], n)[0], n)
 
 
 def spectra_equal(a: Spectrum, b: Spectrum, tol: float = 1e-8) -> bool:

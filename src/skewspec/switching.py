@@ -6,11 +6,12 @@ switching-equivalent precisely when the set of edges on which they
 disagree is an edge cut, and a sequence of switchings always collapses to
 a single one (switching by W1 then W2 equals switching by their symmetric
 difference).  The decision procedure therefore never searches sequences:
-it two-colors each component along a spanning forest so that colors
-differ exactly across disagreeing edges, and either every non-tree edge
-is consistent (the color classes give the witness) or some edge closes a
-cycle carrying an odd number of disagreements, which certifies
-non-equivalence.
+it two-colors each component along the graph's breadth-first spanning
+forest (built once per graph and shared with its bipartition) so that
+colors differ exactly across disagreeing edges, and either every
+non-tree edge is consistent (the color classes give the witness) or some
+edge closes a cycle carrying an odd number of disagreements, which
+certifies non-equivalence.
 
 The cycle predicate needs no enumeration either.  An even cycle is
 uniformly oriented exactly when an even number of its arcs run against
@@ -36,12 +37,13 @@ from .errors import (
 from .graph import (
     Graph,
     OrientedGraph,
+    _require_dense_order,
     _tree_cycle,
     bipartition,
     elementary_orientation,
     parity_coloring,
 )
-from .spectra import adjacency_spectrum, skew_spectrum, spectra_equal
+from .spectra import _half_order_spectrum, spectra_equal
 
 #: Default ceiling on the number of chordless cycles enumerated.
 DEFAULT_CYCLE_CAP = 10**6
@@ -232,11 +234,10 @@ def all_chordless_uniform(og: OrientedGraph) -> bool:
     """
     g = og.graph
     bipartition(g)
-    parent, depth = g._two_coloring[1]
+    f = g._forest
     return all(
-        _uniform(og, _tree_cycle(u, w, parent, depth))
-        for u, w in g.edges
-        if parent[w] != u and parent[u] != w
+        _uniform(og, _tree_cycle(u, w, f.parent, f.depth))
+        for u, w in zip(f.near, f.far)
     )
 
 
@@ -247,8 +248,10 @@ def matches_adjacency_spectrum(og: OrientedGraph, tol: float = 1e-8) -> bool:
     :func:`all_chordless_uniform` and :func:`equivalent_to_elementary`
     test combinatorially.  Requires a bipartite underlying graph.
     """
-    bipartition(og.graph)
-    return spectra_equal(skew_spectrum(og), adjacency_spectrum(og.graph), tol)
+    b = bipartition(og.graph)
+    _require_dense_order(og.n)
+    skew, adjacency = _half_order_spectrum(og.graph, b, [og.direction, None])
+    return spectra_equal(skew, adjacency, tol)
 
 
 def equivalent_to_elementary(og: OrientedGraph) -> SwitchWitness | NotEquivalent:

@@ -120,6 +120,52 @@ def all_orientations(g: Graph):
         yield OrientedGraph(g, bits)
 
 
+def reference_parity_coloring(g: Graph, parity) -> tuple:
+    """What ``parity_coloring`` returns, from one breadth-first pass.
+
+    Each component is searched from its minimum-index vertex with
+    neighbours in ascending order; every edge is tested against the
+    colours as the search scans it, and the search stops at the first
+    edge that disagrees, with the tree paths from its two ends (the end
+    being expanded first) to their lowest common ancestor, joined by it.
+    """
+    side = [-1] * g.n
+    parent = [-1] * g.n
+    depth = [0] * g.n
+    for root in range(g.n):
+        if side[root] != -1:
+            continue
+        side[root] = 0
+        queue = [root]
+        while queue:
+            nxt = []
+            for u in queue:
+                for w in g.neighbors(u):
+                    p = parity[g.edge_index(u, w)]
+                    if side[w] == -1:
+                        side[w] = side[u] ^ p
+                        parent[w] = u
+                        depth[w] = depth[u] + 1
+                        nxt.append(w)
+                    elif side[u] ^ side[w] != p:
+                        return None, _lca_cycle(u, w, parent, depth)
+            queue = nxt
+    return tuple(side), (tuple(parent), tuple(depth))
+
+
+def _lca_cycle(u, w, parent, depth) -> tuple[int, ...]:
+    up = [u]
+    while depth[up[-1]] > depth[w]:
+        up.append(parent[up[-1]])
+    down = [w]
+    while depth[down[-1]] > depth[u]:
+        down.append(parent[down[-1]])
+    while up[-1] != down[-1]:
+        up.append(parent[up[-1]])
+        down.append(parent[down[-1]])
+    return tuple(up + down[-2::-1])
+
+
 def reference_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
     """The canonical edge tuple of ``Graph(n, edges)``, one edge at a time.
 

@@ -7,6 +7,7 @@ import json
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import skewspec.cli as cli_module
@@ -108,6 +109,23 @@ class TestCheck:
         assert doc["consistent"] is True
         assert len(calls) <= 2
 
+    @pytest.mark.parametrize("name", ["q3_elementary.og", "c8_nonuniform.og"])
+    def test_one_forest_and_one_eigensolve_per_check(self, capsys, monkeypatch, name):
+        # The three predicates read one breadth-first forest, and both
+        # spectra come from one stacked solve of two half-order grams.
+        forests, solves = [], []
+        bfs, eigvalsh = graph_module._bfs_forest, np.linalg.eigvalsh
+        monkeypatch.setattr(
+            graph_module, "_bfs_forest", lambda g: forests.append(g) or bfs(g)
+        )
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a)
+        )
+        code, doc, _ = invoke(capsys, "check", str(DATA_DIR / name))
+        assert doc["consistent"] is True and code == (1 if "non" in name else 0)
+        assert len(forests) == 1
+        assert solves == [(2, 4, 4)]
+
     def test_elementary_passes_all_three(self, capsys):
         code, doc, _ = invoke(capsys, "check", C6_ELEM)
         assert code == 0
@@ -193,6 +211,63 @@ class TestParserReuse:
         capsys.readouterr()
         code, doc, _ = invoke(capsys, "family", out, "--base", "k4", "--r", "1")
         assert code == 0 and doc["base"] == "k4"
+
+
+def outcome(capsys, argv):
+    # Exit code (or SystemExit code), stdout and stderr of run(argv).
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--help"],
+            ["nosuch"],
+            ["che", C4_ODD],
+            ["check"],
+            ["check", "-h"],
+            ["equiv", C4_ODD],
+            ["check", C4_ODD, "--tol", "nan"],
+            ["check", C4_ODD, "--bogus"],
+            ["check", C4_ODD, "--timing", "--tol", "1e-3"],
+            ["-h", "check"],
+        ],
+        ids=repr,
+    )
+    def test_same_as_the_full_parser(self, capsys, monkeypatch, argv):
+        # A subcommand's own parser reads its line, and anything else goes
+        # to the full parser; both give the same bytes and exit codes.
+        mine = outcome(capsys, argv)
+        parser, _ = cli_module._build_parser()
+        monkeypatch.setattr(cli_module, "_build_parser", lambda: (parser, {}))
+        full = outcome(capsys, argv)
+        if "--timing" in argv:
+            mine, full = (
+                (c, json.dumps({**json.loads(o), "timing_seconds": 0}), e)
+                for c, o, e in (mine, full)
+            )
+        assert mine == full
+
+    def test_subcommand_parsed_by_its_own_parser(self, capsys, monkeypatch):
+        parser, commands = cli_module._build_parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the full parser read a subcommand line")
+
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        assert invoke(capsys, "check", C4_ELEM)[0] == 0
+        assert sorted(commands) == sorted(
+            ["spectrum", "check", "product", "family", "search", "switch", "equiv"]
+        )
 
 
 class TestToleranceResolution:

@@ -27,7 +27,7 @@ from skewspec import (
     path,
     skew_adjacency,
 )
-from oracles import reference_arcs, reference_edges
+from oracles import reference_arcs, reference_edges, reference_parity_coloring
 from strategies import EDGE_ROUTES, graphs, oriented_graphs
 
 
@@ -310,6 +310,46 @@ class TestBipartition:
             return
         assert len(b.side) == g.n
         assert all(b.side[u] != b.side[v] for u, v in g.edges)
+
+
+@st.composite
+def parity_cases(draw):
+    """A graph, often disconnected or not bipartite, and one parity per
+    edge: random, all ones, or a cut, so that every edge agrees."""
+    g = draw(graphs(min_n=0, max_n=10))
+    kind = draw(st.sampled_from(["random", "ones", "cut"]))
+    if kind == "random":
+        parity = draw(st.lists(st.integers(0, 1), min_size=g.m, max_size=g.m))
+    elif kind == "ones":
+        parity = [1] * g.m
+    else:
+        side = draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n))
+        parity = [side[u] ^ side[v] for u, v in g.edges]
+    return g, tuple(parity)
+
+
+class TestParityColoring:
+    @given(parity_cases())
+    def test_matches_the_single_pass_search(self, case):
+        # The colouring, the (parent, depth) forest, or the first violating
+        # cycle, as one search that tests each edge as it scans it finds them.
+        g, parity = case
+        assert graph_module.parity_coloring(g, parity) == reference_parity_coloring(
+            g, parity
+        )
+
+    def test_one_forest_for_every_parity(self, monkeypatch):
+        built = []
+        original = graph_module._bfs_forest
+        monkeypatch.setattr(
+            graph_module, "_bfs_forest", lambda g: built.append(g) or original(g)
+        )
+        g = build_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (3, 6)])
+        for parity in ((1,) * g.m, (0,) * g.m, (1, 0, 0, 1, 1, 0, 0)):
+            assert graph_module.parity_coloring(g, parity) == reference_parity_coloring(
+                g, parity
+            )
+        assert built == [g]
 
 
 class TestElementaryOrientation:

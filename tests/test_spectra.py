@@ -25,6 +25,7 @@ from skewspec import (
     complete_bipartite,
     cycle,
     elementary_orientation,
+    find_max_energy_orientation,
     from_arcs,
     generate_family,
     graph_energy,
@@ -240,6 +241,16 @@ class TestHalfOrderRoute:
         assert skew_energy(og).route == "certificate"
         assert "_two_coloring" not in vars(og.graph)
 
+    def test_certified_energy_builds_no_forest(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("built a breadth-first forest")
+
+        member = generate_family(FamilySpec("k44", 2)).orientation
+        og = OrientedGraph(build_graph(member.n, member.graph.edges), member.direction)
+        monkeypatch.setattr(graph_module, "_bfs_forest", refuse)
+        assert skew_energy(og).route == "certificate"
+        assert "_forest" not in vars(og.graph)
+
 
 class TestSpectraEqual:
     def test_elementary_c4_matches_adjacency(self):
@@ -366,6 +377,41 @@ class TestGramTerms:
         og = OrientedGraph(k7, tuple((u * 3 + v) % 2 for u, v in k7.edges))
         assert check_term_stream(og) > 1
         assert check_term_stream(paley_with_source()) > 1
+
+    def test_term_bound_splits_blocks_between_rows(self, monkeypatch):
+        # Under a bound of 5 terms a block still holds whole rows, and a
+        # row of more terms is a block of its own.  The certificate and
+        # the search read the same terms and give the same answers.
+        k7 = complete(7)
+        paley = paley_with_source()
+        certified = [
+            paley,
+            OrientedGraph(paley.graph, (1,) + paley.direction[1:]),
+            OrientedGraph(k7, tuple((u * 3 + v) % 2 for u, v in k7.edges)),
+            generate_family(FamilySpec("k44", 2)).orientation,
+            elementary_orientation(hypercube(4)),
+        ]
+        searched = [complete_bipartite(4, 4), complete(4), cycle(4), cycle(6), hypercube(4)]
+
+        def answers():
+            return (
+                [is_gram_scalar(og) for og in certified],
+                [find_max_energy_orientation(g) for g in searched],
+            )
+
+        before = answers()
+        monkeypatch.setattr(spectra_module, "_BLOCK_TERMS", 5)
+        assert answers() == before
+        own_block = 0
+        for og in certified:
+            check_term_stream(og)
+            for i, *_ in gram_terms(og):
+                rows = i.tolist()
+                assert rows == sorted(rows)
+                if len(rows) > 5:
+                    assert len(set(rows)) == 1
+                    own_block += 1
+        assert own_block
 
 
 class TestSkewGram:
