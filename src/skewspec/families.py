@@ -21,7 +21,7 @@ from typing import Callable
 
 from .catalog import complete, complete_bipartite, cycle, path
 from .errors import BudgetExceededError
-from .graph import ORDER_CAP, Graph, OrientedGraph
+from .graph import VERTEX_CAP, Graph, OrientedGraph
 from .products import oriented_product
 
 # Frozen outputs of find_max_energy_orientation on each seed graph: the
@@ -77,16 +77,16 @@ def generate_family(spec: FamilySpec) -> FamilyResult:
     """Build the depth-r member of the chosen family.
 
     Raises :class:`BudgetExceededError` when the closed-form order would
-    exceed :data:`ORDER_CAP`, decided from its exponent, so a huge depth
+    exceed :data:`VERTEX_CAP`, decided from its exponent, so a huge depth
     builds no huge number.
     """
     _, _, a, b = _BASES[spec.base]
     exponent = 3 * spec.r - a
     # 2**e > cap exactly when e >= cap.bit_length().
-    if exponent >= ORDER_CAP.bit_length():
+    if exponent >= VERTEX_CAP.bit_length():
         raise BudgetExceededError(
             f"{spec.base} family member of depth {spec.r} has order "
-            f"2**{exponent}, over the cap of {ORDER_CAP}"
+            f"2**{exponent}, over the cap of {VERTEX_CAP}"
         )
     order, degree = 2**exponent, 4 * spec.r - b
     og = seed_orientation(spec.base)

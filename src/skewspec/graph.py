@@ -11,12 +11,12 @@ edge order.
 Each graph keeps its canonical edges twice: as the public tuple
 ``edges``, which equality and hashing read, and as one read-only int64
 ``(m, 2)`` array, made once when the graph is built, which the degree,
-certificate, product and file-writing code read.  An edge list is
-checked for self-loops, out-of-range endpoints and duplicates by one
-numpy pass and one sort, which also gives the direction bits of an arc
-list.  A list of fewer than ``_SHORT`` (64) pairs is checked in Python
-instead, and its graph makes the array on first use, because numpy's
-fixed cost per call outweighs the work on such small inputs.
+certificate, product and file-writing code read.  One reader turns an
+edge or arc list into integer pairs and one sort checks them, which
+also gives an arc list's direction bits; one rule names a bad list's
+first bad pair.  A list of fewer than ``_SHORT`` (64) pairs is read and
+sorted in Python, and its graph makes the array on first use, because
+numpy's fixed cost per call outweighs the work on such small inputs.
 
 Each graph also caches one breadth-first spanning forest, built on first
 use as flat int lists: the search order, each vertex's parent, depth and
@@ -96,37 +96,33 @@ def _int64_pairs(flat: list[int]) -> np.ndarray:
 _SHORT = 64
 
 
-def _read_pairs(items: Iterable) -> tuple[list[int], Exception | None]:
-    # The leading items that are pairs of integers, as flat Python ints
-    # u0, v0, u1, v1, ..., and the error that unpacking or int() raised
-    # on the next item (None if there is none).
+def _read_pairs(items: Iterable):
+    # The items as a sequence; the leading items that are pairs of
+    # integers, in the form _sort_edges takes for their count (numpy reads
+    # a long well-formed list in one call); and the error that unpacking
+    # or int() raised on the next item (None if there is none).
+    if not isinstance(items, (tuple, list, np.ndarray)):
+        items = tuple(items)
+    if len(items) >= _SHORT:
+        try:
+            pairs = np.asarray(items, dtype=np.int64)
+            if pairs.shape == (len(items), 2):
+                return items, pairs, None
+        except (TypeError, ValueError, OverflowError):
+            pass
     flat: list[int] = []
     for e in items:
         try:
             a, b = e
             flat += (int(a), int(b))
         except (TypeError, ValueError, OverflowError) as exc:
-            return flat, exc
-    return flat, None
+            return items, _pairs(flat), exc
+    return items, _pairs(flat), None
 
 
 def _pairs(flat: list[int]):
     # Flat ints in the form _sort_edges takes for their count.
     return flat if len(flat) < 2 * _SHORT else _int64_pairs(flat)
-
-
-def _int_pairs(items: Sequence):
-    # _read_pairs for _sort_edges.  numpy reads a long well-formed list in
-    # one call.
-    if len(items) >= _SHORT:
-        try:
-            pairs = np.asarray(items, dtype=np.int64)
-            if pairs.shape == (len(items), 2):
-                return pairs, None
-        except (TypeError, ValueError, OverflowError):
-            pass
-    flat, error = _read_pairs(items)
-    return _pairs(flat), error
 
 
 def _sort_edges(n: int, pairs):
@@ -159,17 +155,14 @@ def _sort_edges(n: int, pairs):
 
 
 def _sort_short(n: int, flat: list[int]):
+    # A list with a bad pair goes to the rule of the numpy route.
     first: dict[tuple[int, int], int] = {}
     for i, (u, v) in enumerate(zip(flat[::2], flat[1::2])):
         if u > v:
             u, v = v, u
-        if u == v:
-            return None, None, None, (SelfLoopError, i, i)
-        if u < 0 or v >= n:
-            return None, None, None, (VertexOutOfRangeError, i, i)
-        j = first.setdefault((u, v), i)
-        if j != i:
-            return None, None, None, (DuplicateEdgeError, i, j)
+        if u == v or u < 0 or v >= n or first.setdefault((u, v), i) != i:
+            fault = _first_fault(n, np.sort(_int64_pairs(flat), axis=1))
+            return None, None, None, fault
     edges = tuple(sorted(first))
     return edges, None, [first[e] for e in edges], None
 
@@ -190,15 +183,8 @@ def _first_fault(n: int, ends: np.ndarray) -> tuple[type, int, int]:
     return (SelfLoopError if lo[k] == hi[k] else VertexOutOfRangeError), k, k
 
 
-def _read_edges(edges: Iterable):
-    # The edge list as a sequence, then what _int_pairs reads from it.
-    if not isinstance(edges, (tuple, list, np.ndarray)):
-        edges = tuple(edges)
-    return (edges, *_int_pairs(edges))
-
-
 def _normalize_edges(n: int, edges: Sequence, pairs, error):
-    # Check n and the edge list read by _read_edges, in input order, and
+    # Check n and the edge list read by _read_pairs, in input order, and
     # return the pairs as read, then what _sort_edges returns for them.
     _check_order(n)
     edge_tuple, ends, order, fault = _sort_edges(n, pairs)
@@ -243,7 +229,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        _set_edges(self, *_normalize_edges(self.n, *_read_edges(self.edges))[1:3])
+        _set_edges(self, *_normalize_edges(self.n, *_read_pairs(self.edges))[1:3])
 
     @property
     def m(self) -> int:
@@ -381,7 +367,7 @@ def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> OrientedGraph:
     or reading it before anything else is checked; then the arcs are
     checked as :func:`build_graph` checks edges.
     """
-    arcs, pairs, error = _read_edges(arcs)
+    arcs, pairs, error = _read_pairs(arcs)
     if error is not None:
         raise error
     pairs, edges, ends, order = _normalize_edges(n, arcs, pairs, None)
@@ -537,12 +523,10 @@ def parity_coloring(
 
 def _tree_cycle(u, w, parent, depth):
     # Walk both endpoints of the offending edge up to their lowest common
-    # ancestor (u != w since the graph is simple).
+    # ancestor (u != w since the graph is simple).  u is the end that
+    # breadth-first search expands first, never deeper than w.
     pu, pw = [u], [w]
     a, b = u, w
-    while depth[a] > depth[b]:
-        a = parent[a]
-        pu.append(a)
     while depth[b] > depth[a]:
         b = parent[b]
         pw.append(b)

@@ -25,7 +25,7 @@ enumeration, has a cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     CapExceededError,
@@ -124,9 +124,18 @@ def switching_equivalent(
     return SwitchWitness(tuple(v for v, s in enumerate(side) if s))
 
 
-def _chordless_walks(g: Graph) -> Iterator[tuple[int, ...]]:
-    # The enumeration behind chordless_cycles, one vertex tuple at a time
-    # in canonical form, so a reader can stop at any cycle.
+def chordless_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleWalk]:
+    """All chordless cycles of ``g`` (induced cycles, including triangles).
+
+    Each cycle appears once, in canonical form: it starts at its minimum
+    vertex and runs toward the smaller of that vertex's two cycle
+    neighbors.  Enumeration grows induced paths from each start vertex u0
+    using only vertices above u0; since a chord to u0 is forbidden, any
+    neighbor of u0 met along the way can only close the cycle.  Raises
+    :class:`CapExceededError` carrying the partial list when more than
+    ``cap`` cycles exist.
+    """
+    cycles: list[CycleWalk] = []
     adj = [g.neighbors(v) for v in range(g.n)]
     # chords[w] counts the interior vertices of the path (all but its two
     # ends) adjacent to w.
@@ -147,7 +156,11 @@ def _chordless_walks(g: Graph) -> Iterator[tuple[int, ...]]:
                     continue
                 if u0 in adj[w]:
                     if w > u1:
-                        yield tuple(path) + (w,)
+                        if len(cycles) >= cap:
+                            raise CapExceededError(
+                                f"more than {cap} chordless cycles", cycles=cycles
+                            )
+                        cycles.append(CycleWalk(tuple(path) + (w,)))
                     continue
                 for x in adj[path[-1]]:
                     chords[x] += 1
@@ -161,26 +174,6 @@ def _chordless_walks(g: Graph) -> Iterator[tuple[int, ...]]:
                 if stack:
                     for x in adj[path[-1]]:
                         chords[x] -= 1
-
-
-def chordless_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleWalk]:
-    """All chordless cycles of ``g`` (induced cycles, including triangles).
-
-    Each cycle appears once, in canonical form: it starts at its minimum
-    vertex and runs toward the smaller of that vertex's two cycle
-    neighbors.  Enumeration grows induced paths from each start vertex u0
-    using only vertices above u0; since a chord to u0 is forbidden, any
-    neighbor of u0 met along the way can only close the cycle.  Raises
-    :class:`CapExceededError` carrying the partial list when more than
-    ``cap`` cycles exist.
-    """
-    cycles: list[CycleWalk] = []
-    for vs in _chordless_walks(g):
-        if len(cycles) >= cap:
-            raise CapExceededError(
-                f"more than {cap} chordless cycles", cycles=cycles
-            )
-        cycles.append(CycleWalk(vs))
     return cycles
 
 

@@ -180,6 +180,30 @@ class TestCheck:
         assert doc["equivalent_to_elementary"] is False
 
 
+class TestInconsistentRoutes:
+    """Exit 3: results that must agree came out differently."""
+
+    @pytest.mark.parametrize("path", [C6_ELEM, C4_ODD])
+    def test_check_with_a_flipped_verdict(self, capsys, monkeypatch, path):
+        uniform = switching_module.all_chordless_uniform
+        monkeypatch.setattr(cli_module, "all_chordless_uniform", lambda og: not uniform(og))
+        code, doc, err = invoke(capsys, "check", path)
+        assert code == 3 and err == ""
+        assert doc["consistent"] is False
+        assert doc["all_chordless_uniform"] is not doc["spectral_match"]
+
+    @pytest.mark.parametrize("check", ["_matrix_identity", "_spectrum_match"])
+    def test_product_verify_still_writes(self, capsys, monkeypatch, tmp_path, check):
+        expected = tmp_path / "expected.og"
+        assert invoke(capsys, "product", P2, C4_ODD, str(expected), "--verify")[0] == 0
+        monkeypatch.setattr(cli_module, check, lambda *args: False)
+        out = tmp_path / "prod.og"
+        code, doc, err = invoke(capsys, "product", P2, C4_ODD, str(out), "--verify")
+        assert code == 3 and err == ""
+        assert doc[check.lstrip("_")] is False
+        assert out.read_bytes() == expected.read_bytes()
+
+
 class TestParserReuse:
     def test_parser_is_built_once(self, capsys, monkeypatch):
         invoke(capsys, "check", C4_ELEM)
@@ -451,10 +475,13 @@ class TestFamily:
 
     def test_order_cap_is_an_input_error(self, capsys, tmp_path):
         code, _, err = invoke(
-            capsys, "family", str(tmp_path / "x.og"), "--base", "k44", "--r", "5"
+            capsys, "family", str(tmp_path / "x.og"), "--base", "k44", "--r", "7"
         )
         assert code == 2
-        assert "order" in err
+        assert err == (
+            "error: k44 family member of depth 7 has order 2**21, "
+            "over the cap of 262144\n"
+        )
 
     def test_huge_depth_is_one_short_input_error(self, capsys, tmp_path):
         code, doc, err = invoke(

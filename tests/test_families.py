@@ -38,8 +38,12 @@ class TestFamilySpec:
             FamilySpec("k44", 0)
 
     def test_order_cap(self):
-        with pytest.raises(BudgetExceededError):
-            generate_family(FamilySpec("k44", 5))
+        # Depth 7 is order 2**21, over the vertex cap of 2**18.
+        with pytest.raises(BudgetExceededError) as info:
+            generate_family(FamilySpec("k44", 7))
+        assert str(info.value) == (
+            "k44 family member of depth 7 has order 2**21, over the cap of 262144"
+        )
 
     def test_huge_depth_is_over_the_cap(self):
         # The cap is decided from the exponent: 2**(3 * 10**21) is never built.
@@ -47,7 +51,7 @@ class TestFamilySpec:
             generate_family(FamilySpec("k44", 10**21))
         assert str(info.value) == (
             f"k44 family member of depth {10**21} has order "
-            f"2**{3 * 10**21}, over the cap of 4096"
+            f"2**{3 * 10**21}, over the cap of 262144"
         )
 
 

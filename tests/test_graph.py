@@ -27,6 +27,8 @@ from skewspec import (
     path,
     skew_adjacency,
 )
+from skewspec.io import parse_graph
+from cli_corpus import DATA_DIR
 from oracles import reference_arcs, reference_edges, reference_parity_coloring
 from strategies import EDGE_ROUTES, graphs, oriented_graphs
 
@@ -137,17 +139,31 @@ class TestBuildGraph:
     @pytest.mark.parametrize("route", EDGE_ROUTES)
     def test_from_arcs_reads_its_arcs_once(self, monkeypatch, route):
         calls = []
-        read = graph_module._int_pairs
+        read = graph_module._read_pairs
 
         def counted(items):
             calls.append(len(items))
             return read(items)
 
-        monkeypatch.setattr(graph_module, "_int_pairs", counted)
+        monkeypatch.setattr(graph_module, "_read_pairs", counted)
         with route():
             og = from_arcs(5, [(4, 2), (0, 1), (3, 1)])
         assert og.direction == (0, 1, 1)
         assert calls == [3]
+
+    def test_short_happy_path_skips_the_fault_rule(self, monkeypatch):
+        # Below _SHORT pairs a good list is read and sorted in Python; the
+        # numpy fault rule runs only for a bad one.
+        def fail(*args):
+            raise AssertionError("fault rule ran on a good list")
+
+        monkeypatch.setattr(graph_module, "_first_fault", fail)
+        monkeypatch.setattr(graph_module, "_int64_pairs", fail)
+        og = parse_graph((DATA_DIR / "q3_elementary.og").read_text())
+        assert og.graph == hypercube(3)
+        assert build_graph(8, hypercube(3).edges[::-1]).m == 12
+        with pytest.raises(AssertionError, match="fault rule"):
+            build_graph(3, [(0, 1), (1, 0)])
 
     def test_vertex_cap(self):
         assert build_graph(VERTEX_CAP, [(0, VERTEX_CAP - 1)]).n == VERTEX_CAP

@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+import skewspec.search as search_module
+
 from skewspec import (
     NotRegularError,
     OrientedGraph,
@@ -226,3 +228,36 @@ def test_presolve_proves_the_order_conditions(a):
         res = find_max_energy_orientation(g, budget=1)
         proved = (res.found, res.states, res.exhausted) == (False, 0, True)
         assert proved is (a > 2 and a % 4 != 0)
+
+
+class TestWithoutPresolve:
+    """The branching search alone, with the mod-4 presolve switched off.
+
+    The presolve proves every infeasible graph the other tests try, so
+    only here does the search exhaust by branching.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_presolve(self, monkeypatch):
+        monkeypatch.setattr(search_module, "_mod4_pivots", lambda rows, rhs: {})
+
+    def test_k66_exhausts_by_branching(self):
+        res = find_max_energy_orientation(complete_bipartite(6, 6))
+        assert (res.found, res.states, res.exhausted) == (False, 53119, True)
+
+    @pytest.mark.parametrize(
+        "g, states, presolved",
+        [
+            (complete_bipartite(4, 4), 22, 18),
+            (complete_bipartite(8, 8), 140, 133),
+            (hypercube(3), 16, 12),
+        ],
+        ids=["K4,4", "K8,8", "Q3"],
+    )
+    def test_presolve_keeps_the_first_solution(self, monkeypatch, g, states, presolved):
+        res = find_max_energy_orientation(g)
+        assert (res.found, res.states, res.exhausted) == (True, states, False)
+        monkeypatch.undo()
+        with_presolve = find_max_energy_orientation(g)
+        assert with_presolve.states == presolved
+        assert with_presolve.orientation == res.orientation

@@ -96,6 +96,37 @@ class TestSymmetricEigenvalues:
             Spectrum((0.0, 1.0))
 
 
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(10, outer + spokes + inner)
+
+
+class TestDenseAdjacencyRoute:
+    """Adjacency spectra of graphs that are not bipartite, which solve the
+    n x n adjacency matrix, against their closed forms."""
+
+    @staticmethod
+    def _assert_spectrum(g, expected):
+        assert g._two_coloring[0] is None
+        vals = adjacency_spectrum(g).values
+        assert vals == pytest.approx(sorted(expected, reverse=True), abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_complete(self, n):
+        self._assert_spectrum(complete(n), [n - 1] + [-1] * (n - 1))
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_odd_cycle(self, n):
+        self._assert_spectrum(
+            cycle(n), [2 * math.cos(2 * math.pi * j / n) for j in range(n)]
+        )
+
+    def test_petersen(self):
+        self._assert_spectrum(_petersen(), [3] + [1] * 5 + [-2] * 4)
+
+
 class TestSkewSpectrum:
     def test_p2(self):
         assert skew_spectrum(from_arcs(2, [(0, 1)])).values == (1.0, -1.0)

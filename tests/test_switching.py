@@ -189,9 +189,15 @@ class TestChordlessCycles:
         assert len(chordless_cycles(complete(3))) == 1
 
     def test_cap_reports_partial(self):
-        with pytest.raises(CapExceededError) as exc:
-            chordless_cycles(complete_bipartite(4, 4), cap=10)
-        assert len(exc.value.cycles) == 10
+        # The partial list is the uncapped run cut at the cap.
+        g = complete_bipartite(4, 4)
+        every = chordless_cycles(g)
+        assert len(every) == 36
+        for cap in (0, 1, 10, 35):
+            with pytest.raises(CapExceededError) as exc:
+                chordless_cycles(g, cap=cap)
+            assert exc.value.cycles == every[:cap]
+        assert chordless_cycles(g, cap=36) == every
 
     @given(oriented_graphs(max_n=7))
     def test_matches_brute_force(self, og):
