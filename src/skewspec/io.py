@@ -8,10 +8,10 @@ lines are skipped.  ``n`` may not exceed ``VERTEX_CAP``.  Serialization
 emits canonical form (edges sorted, one per line, LF endings), so
 parse(serialize(x)) == x.
 
-The parser reads the body into one int64 ``(m, 2)`` array in a single
-pass over its lines and hands it to the graph module's edge check, which
-also gives an arc list's direction bits; the writer formats the graph's
-edge array.  A malformed file is reported at its first bad line.
+The parser reads the body's endpoints in one loop over its lines and
+hands them to the graph module's edge check, which also gives an arc
+list's direction bits; the writer formats the graph's edge array.  A
+malformed file is reported at its first bad line.
 
 Reports are JSON with insertion-ordered keys and floats printed with 12
 significant digits, so identical inputs produce byte-identical output.
@@ -20,7 +20,7 @@ significant digits, so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import math
-from itertools import compress, repeat
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
@@ -66,30 +66,23 @@ def _body_pairs(nums: list[int], lines: list[str], tag: str):
     # The body lines' endpoints in the form _sort_edges takes, and the
     # ParseError of the first line that is not ``tag <int> <int>`` (None
     # if every line is); the pairs are those of the lines before it.
-    #
-    # All lines are split at once.  When every line starts with the
-    # tag's letter, no line starts with an integer; so if the tokens
-    # after each third one are integers, the k lines start at the k
-    # multiples of 3 among 3k tokens and have 3 tokens each, and the
-    # tokens at those multiples are the tags.
-    tokens = " ".join(lines).split()
-    if (
-        len(tokens) == 3 * len(lines)
-        and all(map(str.startswith, lines, repeat(tag)))
-        and tokens[0::3].count(tag) == len(lines)
-    ):
-        del tokens[0::3]
-        try:
-            return _pairs(list(map(int, tokens))), None
-        except ValueError:
-            pass
     flat: list[int] = []
+    append = flat.append
     for num, line in zip(nums, lines):
         try:
+            found, u, v = line.split()
+            if found == tag:
+                u, v = int(u), int(v)
+                append(u)
+                append(v)
+                continue
+        except ValueError:
             found = line.split()[0]
-            if found != tag:
-                raise ParseError(num, f"expected {tag!r} line, found {found!r}")
-            flat += _int_fields(num, line, 3)
+        # The tag, then the field count, then the integers name the fault.
+        if found != tag:
+            return _pairs(flat), ParseError(num, f"expected {tag!r} line, found {found!r}")
+        try:
+            _int_fields(num, line, 3)
         except ParseError as exc:
             return _pairs(flat), exc
     return _pairs(flat), None

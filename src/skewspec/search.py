@@ -112,8 +112,8 @@ def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchRe
     # before any state, whatever the budget: an odd sum of signs before
     # the table is built, an inconsistent GF(2) system after it.
     terms = zip(*gram_terms(OrientedGraph(g, (0,) * m)))
-    i, j, e_i, e_j, sign = map(np.concatenate, terms)
-    _, pair, pending = np.unique(i * g.n + j, return_inverse=True, return_counts=True)
+    key, e_i, e_j, sign = map(np.concatenate, terms)
+    _, pair, pending = np.unique(key, return_inverse=True, return_counts=True)
     total = np.bincount(pair, weights=sign).astype(np.int64)
     if np.any(total % 2):
         return SearchResult(None, 0, exhausted=True)

@@ -23,12 +23,12 @@ rounding.  A spectrum is found by one of three routes:
   magnitude per +/- pair; the adjacency spectrum solves A.
 
 The off-diagonal terms of S S^T come from one stream, :func:`gram_terms`,
-which yields them oriented, in blocks of whole rows of at most
-min(n^2, 2^22) terms (a row of more is a block of its own).  It
-has two readers: the exact certificate reads it a block at a time, and
-the orientation search reads all of it for the all-zero orientation.  The
-dense route's n x n gram, :func:`skew_gram`, reads no stream: it takes
-one vector-matrix product per row of a dense S.
+which yields them oriented, keyed by vertex pair, in blocks of whole rows
+of at most min(n^2, 2^22) terms (a row of more is a block of its own).
+It has two readers: the exact certificate reads it a block at a time,
+and the orientation search reads all of it for the all-zero orientation.
+The dense route's n x n gram, :func:`skew_gram`, reads no stream: it
+takes one vector-matrix product per row of a dense S.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def adjacency_spectrum(g: Graph) -> Spectrum:
     return symmetric_eigenvalues(adjacency_matrix(g))
 
 
-# Most terms in one gram_terms block: 2^22 terms of five int64 columns
-# are 160 MiB.
+# Most terms in one gram_terms block: 2^22 terms of four int64 columns
+# are 128 MiB.
 _BLOCK_TERMS = 2**22
 
 
@@ -135,30 +135,30 @@ def _column_entries(og: OrientedGraph):
     return rows, edge, np.where(rows < cols, 1, -1) * flip[edge], later
 
 
-def _pairs(rows, edge, value, later, first):
-    # Entry a pairs with every later entry b of its own column, for each
-    # a in `first`.  Only the gathered terms are returned, so the pair
-    # indices are gone while the caller holds them.
+def _column_pairs(rows, edge, value, later, first, n):
+    # Entry a pairs with every later entry b (so rows[a] < rows[b]) of
+    # its own column, for each a in `first`.  Only the gathered terms are
+    # returned, so the pair indices are gone while the caller holds them.
     count = later[first]
     a = np.repeat(first, count)
     b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
-    return rows[a], rows[b], edge[a], edge[b], value[a] * value[b]
+    return rows[a] * n + rows[b], edge[a], edge[b], value[a] * value[b]
 
 
 def gram_terms(og: OrientedGraph):
     """The terms S[i, t] * S[j, t] of S S^T, over neighbour pairs i < j of t.
 
-    Yields blocks of int64 arrays ``(i, j, e_i, e_j, f)``: the rows, the
-    positions of the edges {i, t} and {j, t}, and the term under ``og``;
-    flipping the direction bit of either edge negates it.  A block holds
-    whole rows i, so every pair (i, j) lies in one block, and at most
-    min(n^2, 2^22) terms, unless one row alone has more and is a block of
-    its own.  One row has fewer than n^2 (at most n - 1 columns, each
-    pairing it with fewer than n - 1 rows), so the terms held at once
-    stay O(n^2) even where the sum of C(deg, 2) over the columns is
-    O(n^3), and a sparse graph of large order is read in blocks of 2^22
-    terms.  Its two readers are :func:`is_gram_scalar` and the
-    orientation search.
+    Yields blocks of int64 arrays ``(key, e_i, e_j, f)``: the pair's key
+    ``i * n + j``, the positions of the edges {i, t} and {j, t}, and the
+    term under ``og``; flipping the direction bit of either edge negates
+    it.  A block holds whole rows i, in ascending order, so every pair
+    (i, j) lies in one block, and at most min(n^2, 2^22) terms, unless
+    one row alone has more and is a block of its own.  One row has fewer
+    than n^2 (at most n - 1 columns, each pairing it with fewer than
+    n - 1 rows), so the terms held at once stay O(n^2) even where the
+    sum of C(deg, 2) over the columns is O(n^3), and a sparse graph of
+    large order is read in blocks of 2^22 terms.  Its two readers are
+    :func:`is_gram_scalar` and the orientation search.
     """
     n = og.n
     rows, edge, value, later = _column_entries(og)
@@ -171,7 +171,7 @@ def gram_terms(og: OrientedGraph):
     while r0 < n:
         r1 = int(np.searchsorted(terms_before, terms_before[r0] + bound, "right")) - 1
         r1 = max(r1, r0 + 1)
-        yield _pairs(rows, edge, value, later, by_row[row_at[r0] : row_at[r1]])
+        yield _column_pairs(rows, edge, value, later, by_row[row_at[r0] : row_at[r1]], n)
         r0 = r1
 
 
@@ -321,7 +321,7 @@ def spectra_equal(a: Spectrum, b: Spectrum, tol: float = 1e-8) -> bool:
 
 def spectrum_energy(sp: Spectrum) -> float:
     """Sum of absolute values of a spectrum."""
-    return float(sum(abs(v) for v in sp.values))
+    return math.fsum(map(abs, sp.values))
 
 
 def graph_energy(g: Graph) -> float:
@@ -368,10 +368,9 @@ def is_gram_scalar(og: OrientedGraph, k: int | None = None) -> bool:
             raise NotRegularError("graph is not regular")
     if (og.graph._degree != k).any():
         return False
-    for i, j, _, _, f in gram_terms(og):
-        keys = i * og.n + j
-        by_key = np.argsort(keys)
-        starts = np.flatnonzero(np.diff(keys[by_key], prepend=-1))
+    for key, _, _, f in gram_terms(og):
+        by_key = np.argsort(key)
+        starts = np.flatnonzero(np.diff(key[by_key], prepend=-1))
         if np.add.reduceat(f[by_key], starts).any():
             return False
     return True

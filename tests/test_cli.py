@@ -643,6 +643,14 @@ class TestInputErrors:
         assert err.startswith("error: line 1:") and err.count("\n") == 1
         assert "cap" in err
 
+    @pytest.mark.parametrize("header", ["ug -1 0", "og 3 -2"])
+    def test_negative_header_count_is_an_input_error(self, capsys, tmp_path, header):
+        f = tmp_path / "negative.og"
+        f.write_text(header + "\n")
+        code, doc, err = invoke(capsys, "check", str(f))
+        assert code == 2 and doc is None
+        assert err.startswith("error: line 1:") and err.count("\n") == 1
+
     def test_parse_error_reports_line(self, capsys, tmp_path):
         f = tmp_path / "bad.og"
         f.write_text("og 2 1\na 0 0\n")

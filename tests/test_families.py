@@ -72,6 +72,15 @@ class TestGeneratedMembers:
         target = order * math.sqrt(degree)
         assert abs(energy - target) <= 1e-8 * target
 
+    @pytest.mark.parametrize("base", sorted(CLOSED_FORMS))
+    def test_certified_energy_equals_its_bound(self, base):
+        # n copies of sqrt(k) summed with one rounding give n * sqrt(k)
+        # exactly; a running float sum drifts from it.
+        for r in range(1, 5):
+            report = skew_energy(generate_family(FamilySpec(base, r)).orientation)
+            assert report.exact_certificate
+            assert report.energy == report.bound
+
     def test_k44_r1_energy_is_16(self):
         res = generate_family(FamilySpec("k44", 1))
         assert abs(skew_energy(res.orientation).energy - 16.0) < 1e-9

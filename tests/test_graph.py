@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import skewspec.graph as graph_module
 from skewspec import (
     VERTEX_CAP,
+    Bipartition,
     BudgetExceededError,
     DuplicateEdgeError,
     Graph,
@@ -96,6 +97,14 @@ class TestBuildGraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(VertexOutOfRangeError):
             build_graph(3, [(0, 3)])
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            Graph(-1, ())
+
+    def test_cycle_needs_three_vertices(self):
+        with pytest.raises(ValueError):
+            cycle(2)
 
     @pytest.mark.parametrize(
         "edges, exc, message",
@@ -288,6 +297,10 @@ class TestOrientedGraph:
 class TestBipartition:
     def test_c4(self):
         assert bipartition(cycle(4)).side == (X, Y, X, Y)
+
+    def test_labels_are_x_or_y(self):
+        with pytest.raises(ValueError):
+            Bipartition((0, 2))
 
     def test_k44_parts(self):
         b = bipartition(complete_bipartite(4, 4))

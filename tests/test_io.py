@@ -127,6 +127,12 @@ class TestParse:
             parse_graph("graph 3 2\n")
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("header", ["ug -1 0", "og 3 -2"])
+    def test_negative_header_counts(self, header):
+        with pytest.raises(ParseError) as exc:
+            parse_graph(header + "\n")
+        assert exc.value.line == 1
+
     def test_bad_field_count(self):
         with pytest.raises(ParseError) as exc:
             parse_graph("ug 3 1\ne 0 1 2\n")
@@ -249,6 +255,9 @@ class TestRenderReport:
             '{\n  "b": 1.41421356237,\n  "a": [1, true, null],\n'
             '  "c": {\n    "x": 0\n  }\n}\n'
         )
+
+    def test_empty_object(self):
+        assert render_report({"a": {}}) == '{\n  "a": {}\n}\n'
 
     def test_negative_zero_normalized(self):
         assert render_report({"v": -0.0}) == '{\n  "v": 0\n}\n'

@@ -389,8 +389,12 @@ def column_terms(og):
 def check_term_stream(og):
     # Returns the number of blocks.
     blocks = list(gram_terms(og))
+    assert all(len(block) == 4 for block in blocks)
     assert all(col.dtype == np.int64 for block in blocks for col in block)
-    terms = [list(zip(*(col.tolist() for col in block))) for block in blocks]
+    terms = [
+        [(*divmod(key, og.n), *rest) for key, *rest in zip(*(col.tolist() for col in block))]
+        for block in blocks
+    ]
     assert sorted(t for block in terms for t in block) == column_terms(og)
     pairs = [{t[:2] for t in block} for block in terms]
     assert sum(map(len, pairs)) == len(set().union(*pairs))
@@ -436,8 +440,8 @@ class TestGramTerms:
         own_block = 0
         for og in certified:
             check_term_stream(og)
-            for i, *_ in gram_terms(og):
-                rows = i.tolist()
+            for key, *_ in gram_terms(og):
+                rows = (key // og.n).tolist()
                 assert rows == sorted(rows)
                 if len(rows) > 5:
                     assert len(set(rows)) == 1
