@@ -17,6 +17,11 @@ error output are the same either way.
 ``check`` and ``product --verify`` compare spectra; their tolerance
 resolves as: --tol flag, then the SKEWSPEC_TOL environment variable,
 then 1e-8.
+
+A graph file is read as bytes and decoded as UTF-8 once; a file that is
+not UTF-8 is an input error.  The parser's line split treats "\r\n" and
+a lone "\r" as universal newlines do, so line numbers in parse errors
+are those of the file read as text.
 """
 
 from __future__ import annotations
@@ -64,11 +69,14 @@ def _resolve_tol(args) -> float:
 
 
 def _load(path: str) -> Graph | OrientedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise SkewspecError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    # Unbuffered, since the file is read whole; see the module docstring
+    # for why a byte read keeps the line numbers of a text-mode read.
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SkewspecError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return parse_graph(text)
 
 

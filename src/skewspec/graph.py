@@ -266,7 +266,13 @@ class Graph:
         # The canonical bipartition and its (parent, depth) forest, or no
         # bipartition and an odd cycle.
         side, found = parity_coloring(self, (1,) * self.m)
-        return (None if side is None else Bipartition(side)), found
+        if side is None:
+            return None, found
+        # The labels are the colouring's own 0/1 ints, so they are not
+        # checked again.
+        b = object.__new__(Bipartition)
+        object.__setattr__(b, "side", side)
+        return b, found
 
     def neighbors(self, v: int) -> KeysView[int]:
         """Read-only ascending view of the neighbours of ``v``."""
@@ -349,7 +355,7 @@ def _oriented(g: Graph, pairs, order) -> OrientedGraph:
     og = object.__new__(OrientedGraph)
     object.__setattr__(og, "graph", g)
     if isinstance(pairs, list):
-        bits = tuple(int(pairs[2 * j] > pairs[2 * j + 1]) for j in order)
+        bits = tuple([1 if pairs[2 * j] > pairs[2 * j + 1] else 0 for j in order])
     else:
         arcs = pairs[order]
         array = (arcs[:, 0] > arcs[:, 1]).view(np.int8)

@@ -24,6 +24,11 @@ any bit is tried.  That covers the classical necessary conditions:
 K_{a,a} and K_a with a > 2 come out empty unless 4 divides a, the order
 a Hadamard matrix (or skew-conference matrix) needs.
 
+Cap.  The table holds one Python tuple per summand, sum C(deg, 2) over
+the vertices in all, so a graph with more than 2^22 (the term stream's
+block bound) is refused with :class:`BudgetExceededError` before any
+summand is made.
+
 Search.  Bits are assigned in edge order, depth first, bit 0 before
 bit 1, maintaining per vertex pair the partial sum of resolved summands.
 A pivot edge takes the one bit its row forces, since every other edge in
@@ -45,9 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotRegularError
+from .errors import BudgetExceededError, NotRegularError
 from .graph import Graph, OrientedGraph
-from .spectra import gram_terms, is_gram_scalar
+from .spectra import _BLOCK_TERMS, gram_terms, is_gram_scalar
 
 
 @dataclass(frozen=True)
@@ -95,10 +100,13 @@ def _mod4_pivots(rows: list[int], rhs: list[int]) -> dict[int, tuple[int, int]] 
 def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchResult:
     """First orientation of a regular graph with S S^T = k I, if any.
 
-    Raises :class:`NotRegularError` on non-regular input.  ``budget``
-    caps the number of attempted bit assignments; when it runs out the
-    result has ``exhausted`` False.  Every returned orientation is
-    re-certified with the exact integer test before being handed back.
+    Raises :class:`NotRegularError` on non-regular input, and
+    :class:`BudgetExceededError` when S S^T has more than 2^22 terms
+    (the sum of C(deg, 2) over the vertices), before any is made: the
+    search keeps every term in a Python table.  ``budget`` caps the
+    number of attempted bit assignments; when it runs out the result has
+    ``exhausted`` False.  Every returned orientation is re-certified with
+    the exact integer test before being handed back.
     """
     k = g.regular_degree()
     if k is None:
@@ -106,6 +114,12 @@ def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchRe
     m = g.m
     if m == 0:
         return SearchResult(OrientedGraph(g, ()), 0, exhausted=False)
+    d = g._degree
+    n_terms = int((d * (d - 1) // 2).sum())
+    if n_terms > _BLOCK_TERMS:
+        raise BudgetExceededError(
+            f"search needs {n_terms} S S^T terms, over the cap of {_BLOCK_TERMS}"
+        )
 
     # One constraint per vertex pair with a common neighbor, numbered in
     # (i, j) order.  A presolve proof of infeasibility ends the search

@@ -16,7 +16,9 @@ rounding.  A spectrum is found by one of three routes:
   n_X x n_Y block, the square roots of the eigenvalues of a
   min(n_X, n_Y) square gram, and the rest exact zeros.  The skew and
   adjacency spectra of one orientation share the block layout and are
-  found by one stacked product and one eigensolve.
+  found by one stacked product and one eigensolve; a caller that only
+  compares them, as ``check`` does, compares the two lists of magnitudes
+  by the rule of :func:`spectra_equal` and builds neither spectrum.
 - dense: any other graph solves n x n.  The eigenvalues of the symmetric
   positive semidefinite S S^T are the squared magnitudes, each nonzero one
   with even multiplicity, so adjacent square roots are averaged into one
@@ -242,15 +244,18 @@ def _magnitudes(grams: np.ndarray, n: int) -> list[list[float]]:
     return out
 
 
-def _half_order_spectrum(g: Graph, b: Bipartition, directions: list) -> list[Spectrum]:
+def _half_order_magnitudes(
+    g: Graph, b: Bipartition, directions: list
+) -> list[list[float]]:
     # In X/Y order S = [[0, B], [-B^T, 0]], so its magnitudes are the
     # singular values of B, the square roots of the eigenvalues of B B^T.
     # The block is built with the smaller side as its rows, so the gram
-    # is min(n_X, n_Y) square.  One spectrum per entry of ``directions``:
-    # a direction vector gives B's signs from its bits, and None gives
-    # |B|, whose singular values are the adjacency spectrum's positive
-    # half.  The layout is found once and the blocks are stacked, so
-    # every spectrum comes from one product and one eigensolve.
+    # is min(n_X, n_Y) square.  One descending list of min(n_X, n_Y)
+    # magnitudes per entry of ``directions``: a direction vector gives
+    # B's signs from its bits, and None gives |B|, whose singular values
+    # are the adjacency spectrum's positive half.  The layout is found
+    # once and the blocks are stacked, so every list comes from one
+    # product and one eigensolve.
     side = b.side
     at, count = [], [0, 0]
     for s in side:
@@ -277,7 +282,15 @@ def _half_order_spectrum(g: Graph, b: Bipartition, directions: list) -> list[Spe
     grams = blocks @ blocks.transpose(0, 2, 1)
     # Freed before the solve, which copies the grams once more.
     del blocks
-    return [_from_magnitudes(mags, g.n) for mags in _magnitudes(grams, g.n)]
+    return _magnitudes(grams, g.n)
+
+
+def _half_order_spectrum(g: Graph, b: Bipartition, directions: list) -> list[Spectrum]:
+    # The spectra of _half_order_magnitudes: each list of magnitudes,
+    # then exact zeros, then the magnitudes negated.
+    return [
+        _from_magnitudes(mags, g.n) for mags in _half_order_magnitudes(g, b, directions)
+    ]
 
 
 def skew_spectrum(og: OrientedGraph) -> Spectrum:
@@ -312,11 +325,12 @@ def spectra_equal(a: Spectrum, b: Spectrum, tol: float = 1e-8) -> bool:
     Comparison is |a[i] - b[i]| <= tol * max(1, |b[i]|), so the tolerance
     reads as relative above magnitude 1 and absolute below it.
     """
-    if len(a) != len(b):
-        return False
-    return all(
-        abs(x - y) <= tol * max(1.0, abs(y)) for x, y in zip(a.values, b.values)
-    )
+    return len(a) == len(b) and _close(a.values, b.values, tol)
+
+
+def _close(xs, ys, tol: float) -> bool:
+    # The entrywise rule of spectra_equal, for two sequences of one length.
+    return all(abs(x - y) <= tol * max(1.0, abs(y)) for x, y in zip(xs, ys))
 
 
 def spectrum_energy(sp: Spectrum) -> float:

@@ -11,7 +11,9 @@ forest (built once per graph and shared with its bipartition) so that
 colors differ exactly across disagreeing edges, and either every
 non-tree edge is consistent (the color classes give the witness) or some
 edge closes a cycle carrying an odd number of disagreements, which
-certifies non-equivalence.
+certifies non-equivalence.  The elementary orientation's bit on the edge
+(u, v), u < v, is the side of u, so equivalence to it colours by the
+parity ``direction[e] ^ side[u]`` and builds no second orientation.
 
 The cycle predicate needs no enumeration either.  An even cycle is
 uniformly oriented exactly when an even number of its arcs run against
@@ -19,7 +21,8 @@ the elementary orientation.  That parity adds over the cycle space, and
 a chord splits a cycle into two cycles that sum to it, so every
 chordless cycle is uniform exactly when every fundamental cycle of a
 spanning forest is.  Only :func:`chordless_cycles`, the explicit
-enumeration, has a cap.
+enumeration, has a cap.  The spectral predicate compares the two
+half-order magnitude lists and builds no spectrum.
 """
 
 from __future__ import annotations
@@ -40,10 +43,9 @@ from .graph import (
     _require_dense_order,
     _tree_cycle,
     bipartition,
-    elementary_orientation,
     parity_coloring,
 )
-from .spectra import _half_order_spectrum, spectra_equal
+from .spectra import _close, _half_order_magnitudes
 
 #: Default ceiling on the number of chordless cycles enumerated.
 DEFAULT_CYCLE_CAP = 10**6
@@ -117,8 +119,14 @@ def switching_equivalent(
     """
     if a.graph != b.graph:
         raise GraphMismatchError("orientations have different underlying graphs")
-    diff = [x ^ y for x, y in zip(a.direction, b.direction)]
-    side, cycle = parity_coloring(a.graph, diff)
+    return _switching_result(a.graph, [x ^ y for x, y in zip(a.direction, b.direction)])
+
+
+def _switching_result(g: Graph, diff: list[int]) -> SwitchWitness | NotEquivalent:
+    # The verdict for orientations of g that differ on the edges where
+    # ``diff`` is 1: the witness is the colour-1 class of the parity
+    # colouring, and a colouring that fails gives the violating cycle.
+    side, cycle = parity_coloring(g, diff)
     if side is None:
         return NotEquivalent(CycleWalk(cycle))
     return SwitchWitness(tuple(v for v, s in enumerate(side) if s))
@@ -239,18 +247,30 @@ def matches_adjacency_spectrum(og: OrientedGraph, tol: float = 1e-8) -> bool:
 
     This is the spectral face of the same property that
     :func:`all_chordless_uniform` and :func:`equivalent_to_elementary`
-    test combinatorially.  Requires a bipartite underlying graph.
+    test combinatorially.  Requires a bipartite underlying graph.  The
+    verdict is that of :func:`spectra_equal` on the two spectra, but only
+    their magnitudes are compared: each half-order spectrum is its
+    magnitudes, then the same number of exact zeros, then the magnitudes
+    negated, and a negated pair differs by exactly what the pair does.
     """
     b = bipartition(og.graph)
     _require_dense_order(og.n)
-    skew, adjacency = _half_order_spectrum(og.graph, b, [og.direction, None])
-    return spectra_equal(skew, adjacency, tol)
+    skew, adjacency = _half_order_magnitudes(og.graph, b, [og.direction, None])
+    # The zeros agree exactly, so they pass unless tol is below 0 (or NaN).
+    return _close(skew, adjacency, tol) and (og.n == 2 * len(skew) or 0.0 <= tol)
 
 
 def equivalent_to_elementary(og: OrientedGraph) -> SwitchWitness | NotEquivalent:
     """Decide switching-equivalence to the all-X-to-Y orientation.
 
     Requires a bipartite underlying graph; the elementary orientation is
-    taken with respect to the canonical bipartition.
+    taken with respect to the canonical bipartition.  Its bit on the edge
+    (u, v), u < v, is the side of u, so the two orientations differ
+    where that side and ``og``'s bit differ, and no elementary
+    orientation is built.  The result is that of
+    :func:`switching_equivalent` against :func:`elementary_orientation`.
     """
-    return switching_equivalent(og, elementary_orientation(og.graph))
+    side = bipartition(og.graph).side
+    return _switching_result(
+        og.graph, [d ^ side[u] for d, (u, _) in zip(og.direction, og.graph.edges)]
+    )

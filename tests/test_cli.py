@@ -13,8 +13,11 @@ import pytest
 import skewspec.cli as cli_module
 import skewspec.graph as graph_module
 import skewspec.products as products_module
+import skewspec.spectra as spectra_module
 import skewspec.switching as switching_module
 from skewspec import (
+    SkewspecError,
+    complete,
     elementary_orientation,
     from_arcs,
     hypercube,
@@ -113,7 +116,9 @@ class TestCheck:
     def test_one_forest_and_one_eigensolve_per_check(self, capsys, monkeypatch, name):
         # The three predicates read one breadth-first forest, and both
         # spectra come from one stacked solve of two half-order grams.
-        forests, solves = [], []
+        # Only magnitudes are compared and the elementary orientation is
+        # never built, so no Spectrum and no OrientedGraph is made.
+        forests, solves, built = [], [], []
         bfs, eigvalsh = graph_module._bfs_forest, np.linalg.eigvalsh
         monkeypatch.setattr(
             graph_module, "_bfs_forest", lambda g: forests.append(g) or bfs(g)
@@ -121,10 +126,16 @@ class TestCheck:
         monkeypatch.setattr(
             np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a)
         )
+        for cls in (spectra_module.Spectrum, graph_module.OrientedGraph):
+            monkeypatch.setattr(
+                cls, "__post_init__",
+                lambda self, init=cls.__post_init__: built.append(self) or init(self),
+            )
         code, doc, _ = invoke(capsys, "check", str(DATA_DIR / name))
         assert doc["consistent"] is True and code == (1 if "non" in name else 0)
         assert len(forests) == 1
         assert solves == [(2, 4, 4)]
+        assert built == []
 
     def test_elementary_passes_all_three(self, capsys):
         code, doc, _ = invoke(capsys, "check", C6_ELEM)
@@ -633,6 +644,16 @@ class TestInputErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "UTF-8" in err
 
+    def test_search_over_the_term_cap_is_an_input_error(self, capsys, tmp_path):
+        # K_300 (415 KB) has 13,365,300 S S^T terms: refused before any
+        # is made, where it once ran out of memory.
+        f = tmp_path / "k300.ug"
+        f.write_text(serialize_graph(complete(300)))
+        code, doc, err = invoke(capsys, "search", str(f), "--budget", "1000")
+        assert code == 2 and doc is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "13365300" in err and "cap" in err
+
     @pytest.mark.parametrize("command", ["check", "product"])
     def test_huge_vertex_count_is_an_input_error(self, capsys, tmp_path, command):
         f = tmp_path / "huge.og"
@@ -657,6 +678,53 @@ class TestInputErrors:
         code, _, err = invoke(capsys, "spectrum", str(f))
         assert code == 2
         assert "line 2" in err
+
+
+def _text_mode_load(path):
+    # The reference: the file read in text mode, universal newlines.
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        return f"{path}: not UTF-8 text ({exc.reason})"
+    try:
+        return parse_graph(text)
+    except SkewspecError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"og 4 4\r\na 0 1\r\na 1 2\r\na 2 3\r\na 3 0\r\n",
+        b"og 4 4\ra 0 1\ra 1 2\ra 2 3\ra 3 0\r",
+        b"og 4 4\r\n\r\ra 0 1\r\r\na 1 2\na 2 3\ra 3 3\r\n",
+        b"og 4 4\r\n# a comment\r\ra 0 1\r\na 1 x\r\n",
+        b"og 4 4\x0ca 0 1\x0ca 1 2\na 2 3\na 3 0 \x0c\n",
+        b"og 4 4\na 0 1\x0ca 1 2\x0ca 2 3\x0ca 3 0\x0ca 0 2\n",
+        b"og 2 1\r\xc2\x85a 0 1\xe2\x80\xa8\n",
+        b"\xef\xbb\xbfog 2 1\na 0 1\n",
+        b"og 2 1\n\xef\xbb\xbfa 0 1\n",
+        b"og 2 1\na 0 1\n# \xe2\x82",
+        b"og 2 1\na 0 1\xff\n",
+        b"og 2 1\r\na 0 1\r\n# \xc3\x28\r\n",
+    ],
+    ids=[
+        "crlf", "cr", "mixed", "crlf-bad-line", "form-feed", "form-feed-extra",
+        "nel-ls", "bom", "bom-in-body", "truncated", "invalid-start",
+        "invalid-continuation",
+    ],
+)
+def test_byte_read_matches_the_text_mode_read(tmp_path, data):
+    # _load reads bytes and decodes once; every file gives the graph, or
+    # the error text, that a text-mode read gives.
+    path = tmp_path / "g.og"
+    path.write_bytes(data)
+    try:
+        loaded = cli_module._load(str(path))
+    except SkewspecError as exc:
+        loaded = str(exc)
+    assert loaded == _text_mode_load(str(path))
 
 
 class TestInternalErrors:

@@ -7,6 +7,7 @@ import pytest
 import skewspec.search as search_module
 
 from skewspec import (
+    BudgetExceededError,
     NotRegularError,
     OrientedGraph,
     build_graph,
@@ -113,6 +114,17 @@ class TestSearchExhausts:
     def test_nonregular_rejected(self):
         with pytest.raises(NotRegularError):
             find_max_energy_orientation(path(3))
+
+    def test_term_cap(self, monkeypatch):
+        # K_300 has 300 * C(299, 2) = 13,365,300 terms, over the 2^22 cap,
+        # and is refused before any term is made.  K4 has 4 * C(3, 2) = 12.
+        with pytest.raises(BudgetExceededError, match="13365300 .* 4194304"):
+            find_max_energy_orientation(complete(300), budget=1000)
+        monkeypatch.setattr(search_module, "_BLOCK_TERMS", 12)
+        assert find_max_energy_orientation(complete(4)).found
+        monkeypatch.setattr(search_module, "_BLOCK_TERMS", 11)
+        with pytest.raises(BudgetExceededError, match="12 .* 11"):
+            find_max_energy_orientation(complete(4))
 
     def test_budget_stops_early(self):
         res = find_max_energy_orientation(complete_bipartite(4, 4), budget=5)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from skewspec import (
+    adjacency_spectrum,
     CapExceededError,
     CycleWalk,
     FamilySpec,
@@ -31,6 +32,8 @@ from skewspec import (
     is_uniformly_oriented,
     matches_adjacency_spectrum,
     path,
+    skew_spectrum,
+    spectra_equal,
     switch,
     switching_equivalent,
 )
@@ -332,6 +335,39 @@ class TestPredicates:
                 )
                 assert every_cycle == matches_adjacency_spectrum(og, 1e-8)
                 assert every_cycle == all_chordless_uniform(og)
+
+
+class TestShortcutsMatchTheirLongRoutes:
+    """matches_adjacency_spectrum compares magnitudes and
+    equivalent_to_elementary colours the elementary parity; each must
+    give what the full spectra, or the elementary orientation itself,
+    give."""
+
+    @staticmethod
+    def assert_same(og):
+        skew, adjacency = skew_spectrum(og), adjacency_spectrum(og.graph)
+        for tol in (0.0, 1e-12, 1e-8, 1.0, -1.0, float("nan")):
+            assert matches_adjacency_spectrum(og, tol) == spectra_equal(
+                skew, adjacency, tol
+            )
+        assert equivalent_to_elementary(og) == switching_equivalent(
+            og, elementary_orientation(og.graph)
+        )
+
+    @given(bipartite_oriented_graphs())
+    def test_bipartite(self, og):
+        self.assert_same(og)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_edgeless(self, n):
+        self.assert_same(OrientedGraph(build_graph(n, []), ()))
+
+    def test_every_q3_orientation(self):
+        verdicts = set()
+        for og in all_orientations(hypercube(3)):
+            self.assert_same(og)
+            verdicts.add(bool(equivalent_to_elementary(og)))
+        assert verdicts == {True, False}
 
 
 class TestStreamedVerdict:
