@@ -9,8 +9,9 @@ for each vertex pair (i, j),
 
 must vanish.  Writing x_e = 1 - 2 b_e = +1/-1 for the direction bit b_e
 of edge e, each summand is a fixed sign f times x_a * x_b for the edges
-a = {i, t} and b = {j, t}, read off the stream
-:func:`skewspec.spectra.gram_terms` for the all-zero orientation.
+a = {i, t} and b = {j, t}, read off the neighbour table
+(:func:`skewspec.spectra._neighbour_table`) of the all-zero orientation
+as the pairs of neighbours i < j of each t.
 
 Presolve.  Mod 4, f * x_a * x_b = f - 2 (b_a + b_b), so a pair whose
 summands have signs f_1..f_c vanishes mod 4 exactly when sum f is even
@@ -25,9 +26,9 @@ K_{a,a} and K_a with a > 2 come out empty unless 4 divides a, the order
 a Hadamard matrix (or skew-conference matrix) needs.
 
 Cap.  The table holds one Python tuple per summand, sum C(deg, 2) over
-the vertices in all, so a graph with more than 2^22 (the term stream's
-block bound) is refused with :class:`BudgetExceededError` before any
-summand is made.
+the vertices in all, so a graph with more than 2^22 (``_BLOCK_TERMS``)
+is refused with :class:`BudgetExceededError` before any summand is
+made.
 
 Search.  Bits are assigned in edge order, depth first, bit 0 before
 bit 1, maintaining per vertex pair the partial sum of resolved summands.
@@ -52,7 +53,10 @@ import numpy as np
 
 from .errors import BudgetExceededError, NotRegularError
 from .graph import Graph, OrientedGraph
-from .spectra import _BLOCK_TERMS, gram_terms, is_gram_scalar
+from .spectra import _neighbour_table, is_gram_scalar
+
+# Most S S^T summands a search takes: its table holds a Python tuple each.
+_BLOCK_TERMS = 2**22
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,22 @@ def _mod4_pivots(rows: list[int], rhs: list[int]) -> dict[int, tuple[int, int]] 
     return pivots
 
 
+def _summands(g: Graph, k: int):
+    # The summands of S S^T for the all-zero orientation of the k-regular
+    # graph g, one per pair of neighbours i < j of each vertex t: the key
+    # i * n + j, the positions of the edges {i, t} and {j, t}, and the
+    # sign S[i, t] * S[j, t] = S[t, i] * S[t, j].  int64, as the key
+    # reaches 2^36 at the vertex cap.
+    nbr, edge, value = _neighbour_table(OrientedGraph(g, (0,) * g.m), k)
+    a, b = np.triu_indices(k, 1)
+    return (
+        (nbr[:, a] * g.n + nbr[:, b]).ravel(),
+        edge[:, a].ravel(),
+        edge[:, b].ravel(),
+        (value[:, a] * value[:, b]).ravel(),
+    )
+
+
 def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchResult:
     """First orientation of a regular graph with S S^T = k I, if any.
 
@@ -114,8 +134,7 @@ def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchRe
     m = g.m
     if m == 0:
         return SearchResult(OrientedGraph(g, ()), 0, exhausted=False)
-    d = g._degree
-    n_terms = int((d * (d - 1) // 2).sum())
+    n_terms = g.n * (k * (k - 1) // 2)
     if n_terms > _BLOCK_TERMS:
         raise BudgetExceededError(
             f"search needs {n_terms} S S^T terms, over the cap of {_BLOCK_TERMS}"
@@ -125,8 +144,7 @@ def find_max_energy_orientation(g: Graph, budget: int | None = None) -> SearchRe
     # (i, j) order.  A presolve proof of infeasibility ends the search
     # before any state, whatever the budget: an odd sum of signs before
     # the table is built, an inconsistent GF(2) system after it.
-    terms = zip(*gram_terms(OrientedGraph(g, (0,) * m)))
-    key, e_i, e_j, sign = map(np.concatenate, terms)
+    key, e_i, e_j, sign = _summands(g, k)
     _, pair, pending = np.unique(key, return_inverse=True, return_counts=True)
     total = np.bincount(pair, weights=sign).astype(np.int64)
     if np.any(total % 2):

@@ -24,12 +24,14 @@ rounding.  A spectrum is found by one of three routes:
   with even multiplicity, so adjacent square roots are averaged into one
   magnitude per +/- pair; the adjacency spectrum solves A.
 
-The off-diagonal terms of S S^T come from one stream, :func:`gram_terms`,
-which yields them oriented, keyed by vertex pair, in blocks of whole rows
-of at most min(n^2, 2^22) terms (a row of more is a block of its own).
-It has two readers: the exact certificate reads it a block at a time,
-and the orientation search reads all of it for the all-zero orientation.
-The dense route's n x n gram, :func:`skew_gram`, reads no stream: it
+S S^T = k I forces every degree to be k, so the off-diagonal terms
+S[i, t] * S[j, t] of S S^T are read only on k-regular graphs, from one
+:func:`_neighbour_table`: each vertex's k neighbours ascending, the
+positions of the edges to them and the entries of S, as (n, k) arrays.
+It has two readers: the exact certificate gathers the neighbours j of
+the neighbours t of a block of rows i at a time, and the orientation
+search pairs the neighbours of each t for the all-zero orientation.
+The dense route's n x n gram, :func:`skew_gram`, reads no table: it
 takes one vector-matrix product per row of a dense S.
 """
 
@@ -119,62 +121,23 @@ def adjacency_spectrum(g: Graph) -> Spectrum:
     return symmetric_eigenvalues(adjacency_matrix(g))
 
 
-# Most terms in one gram_terms block: 2^22 terms of four int64 columns
-# are 128 MiB.
-_BLOCK_TERMS = 2**22
+# Most candidate terms in one certificate block: whole rows of k^2
+# each, at least one row.  Small blocks keep the peak memory low.
+_CERT_TERMS = 2**16
 
 
-def _column_entries(og: OrientedGraph):
-    # The nonzero entries of S, column by column with rows ascending: row,
-    # edge position, value, and how many later entries share the column.
-    g = og.graph
-    ends = g._ends
-    rows, cols = np.concatenate((ends, ends[:, ::-1])).T
-    by_col = np.lexsort((rows, cols))
-    rows, cols, edge = rows[by_col], cols[by_col], np.tile(np.arange(g.m), 2)[by_col]
-    later = np.cumsum(np.bincount(cols, minlength=g.n))[cols] - np.arange(cols.size) - 1
-    flip = 1 - 2 * og._bits.astype(np.int64)
-    return rows, edge, np.where(rows < cols, 1, -1) * flip[edge], later
-
-
-def _column_pairs(rows, edge, value, later, first, n):
-    # Entry a pairs with every later entry b (so rows[a] < rows[b]) of
-    # its own column, for each a in `first`.  Only the gathered terms are
-    # returned, so the pair indices are gone while the caller holds them.
-    count = later[first]
-    a = np.repeat(first, count)
-    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
-    return rows[a] * n + rows[b], edge[a], edge[b], value[a] * value[b]
-
-
-def gram_terms(og: OrientedGraph):
-    """The terms S[i, t] * S[j, t] of S S^T, over neighbour pairs i < j of t.
-
-    Yields blocks of int64 arrays ``(key, e_i, e_j, f)``: the pair's key
-    ``i * n + j``, the positions of the edges {i, t} and {j, t}, and the
-    term under ``og``; flipping the direction bit of either edge negates
-    it.  A block holds whole rows i, in ascending order, so every pair
-    (i, j) lies in one block, and at most min(n^2, 2^22) terms, unless
-    one row alone has more and is a block of its own.  One row has fewer
-    than n^2 (at most n - 1 columns, each pairing it with fewer than
-    n - 1 rows), so the terms held at once stay O(n^2) even where the
-    sum of C(deg, 2) over the columns is O(n^3), and a sparse graph of
-    large order is read in blocks of 2^22 terms.  Its two readers are
-    :func:`is_gram_scalar` and the orientation search.
-    """
-    n = og.n
-    rows, edge, value, later = _column_entries(og)
+def _neighbour_table(og: OrientedGraph, k: int):
+    # The k neighbours t of each vertex v ascending, the positions of the
+    # edges {v, t} and S[v, t]: three int64 (n, k) arrays, for a k-regular
+    # graph.  The edges are sorted, so one stable sort of the rows of both
+    # arcs of each edge, the reversed ends first, lists each row ascending.
+    ends = og.graph._ends
+    rows, cols = np.concatenate((ends[:, ::-1], ends)).T
     by_row = np.argsort(rows, kind="stable")
-    row_at = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    row_terms = np.bincount(rows, weights=later, minlength=n).astype(np.int64)
-    terms_before = np.concatenate(([0], np.cumsum(row_terms)))
-    bound = min(n * n, _BLOCK_TERMS)
-    r0 = 0
-    while r0 < n:
-        r1 = int(np.searchsorted(terms_before, terms_before[r0] + bound, "right")) - 1
-        r1 = max(r1, r0 + 1)
-        yield _column_pairs(rows, edge, value, later, by_row[row_at[r0] : row_at[r1]], n)
-        r0 = r1
+    # S[u, v] is flip for the edge (u, v), u < v, and S[v, u] is -flip.
+    flip = 1 - 2 * og._bits.astype(np.int64)
+    edge, value = np.tile(np.arange(og.graph.m), 2), np.concatenate((-flip, flip))
+    return [a[by_row].reshape(og.n, k) for a in (cols, edge, value)]
 
 
 def skew_gram(og: OrientedGraph) -> np.ndarray:
@@ -183,7 +146,7 @@ def skew_gram(og: OrientedGraph) -> np.ndarray:
     One float32 S, and each row of the int64 gram from one product of
     that row's nonzero entries with their rows of S: S^T = -S, so row i
     is -S[i, t] @ S[t] over the neighbours t of i, and its diagonal entry
-    is deg(i).  It reads no :func:`gram_terms`.  Raises
+    is deg(i).  It reads no :func:`_neighbour_table`.  Raises
     :class:`BudgetExceededError` above ``ORDER_CAP`` before allocating.
     """
     n = og.n
@@ -372,9 +335,11 @@ def is_gram_scalar(og: OrientedGraph, k: int | None = None) -> bool:
     When ``k`` is omitted the graph must be regular (the diagonal of
     S S^T is the degree sequence, so no other k can work); a non-regular
     graph then raises :class:`NotRegularError`.  A degree other than
-    ``k`` fails at once.  Otherwise the test holds exactly when the
-    :func:`gram_terms` sum to 0, in int64, for every pair (i, j); they
-    are summed a block at a time, in O(n^2) memory at most.
+    ``k`` fails at once.  Otherwise (S S^T)[i, j] is the sum of
+    S[i, t] * S[j, t] over the neighbours t of i and the neighbours j of
+    each t, gathered from the :func:`_neighbour_table` for a block of
+    whole rows i at a time.  A block holds at most max(k^2, 2^16) such
+    terms, so beyond the table the memory does not grow with n.
     """
     if k is None:
         k = og.graph.regular_degree()
@@ -382,10 +347,24 @@ def is_gram_scalar(og: OrientedGraph, k: int | None = None) -> bool:
             raise NotRegularError("graph is not regular")
     if (og.graph._degree != k).any():
         return False
-    for key, _, _, f in gram_terms(og):
-        by_key = np.argsort(key)
-        starts = np.flatnonzero(np.diff(key[by_key], prepend=-1))
-        if np.add.reduceat(f[by_key], starts).any():
+    if not og.graph.m:
+        # S S^T = 0, and every degree is k = 0 or there is no vertex.
+        return True
+    # The degree as an int, whatever number type k came as.
+    k = int(og.graph._degree[0])
+    nbr, _, value = _neighbour_table(og, k)
+    rows = max(1, _CERT_TERMS // (k * k))
+    for i in range(0, og.n, rows):
+        t = nbr[i : i + rows]
+        # Each j of row i, twice, plus 1 when S[i, t] * S[j, t] is +1:
+        # S[j, t] = -S[t, j], so when S[i, t] != S[t, j].
+        packed = 2 * nbr[t] + (value[i : i + rows, :, None] != value[t])
+        packed = packed.reshape(len(t), -1)
+        packed.sort()
+        starts = np.flatnonzero(np.diff(packed >> 1, prepend=-1))
+        runs = np.add.reduceat(2 * (packed.ravel() & 1) - 1, starts)
+        # The run of j = i sums to k; each other run of the row must be 0.
+        if np.count_nonzero(runs) != len(t):
             return False
     return True
 

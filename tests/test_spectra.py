@@ -41,7 +41,8 @@ from skewspec import (
     spectrum_energy,
     symmetric_eigenvalues,
 )
-from skewspec.spectra import gram_terms
+from skewspec.search import _summands
+from skewspec.spectra import _neighbour_table
 from oracles import all_orientations, direct_skew_spectrum
 from strategies import bipartite_oriented_graphs, graphs, oriented_graphs
 
@@ -70,6 +71,28 @@ def gram_cases(draw):
     deg = og.graph.regular_degree()
     k = draw(st.integers(-1, og.n + 1) | st.just(0 if deg is None else deg))
     return og, k
+
+
+@st.composite
+def regular_orientations(draw):
+    # A family seed, or an edgeless, cycle, complete, complete bipartite
+    # or hypercube graph with its vertices relabelled at random, randomly
+    # oriented.
+    if draw(st.booleans()):
+        return seed_orientation(draw(st.sampled_from(BASE_NAMES)))
+    g = draw(
+        st.one_of(
+            st.integers(0, 6).map(lambda n: build_graph(n, [])),
+            st.integers(3, 8).map(cycle),
+            st.integers(1, 7).map(complete),
+            st.integers(1, 4).map(lambda a: complete_bipartite(a, a)),
+            st.integers(1, 4).map(hypercube),
+        )
+    )
+    label = draw(st.permutations(range(g.n)))
+    g = build_graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+    bits = draw(st.lists(st.integers(0, 1), min_size=g.m, max_size=g.m))
+    return OrientedGraph(g, tuple(bits))
 
 
 class TestSymmetricEigenvalues:
@@ -386,37 +409,31 @@ def column_terms(og):
     )
 
 
-def check_term_stream(og):
-    # Returns the number of blocks.
-    blocks = list(gram_terms(og))
-    assert all(len(block) == 4 for block in blocks)
-    assert all(col.dtype == np.int64 for block in blocks for col in block)
-    terms = [
-        [(*divmod(key, og.n), *rest) for key, *rest in zip(*(col.tolist() for col in block))]
-        for block in blocks
-    ]
-    assert sorted(t for block in terms for t in block) == column_terms(og)
-    pairs = [{t[:2] for t in block} for block in terms]
-    assert sum(map(len, pairs)) == len(set().union(*pairs))
-    assert all(len(block) <= og.n**2 for block in terms)
-    return len(blocks)
-
-
 class TestGramTerms:
-    @given(gram_cases())
-    def test_each_term_once_and_each_pair_in_one_block(self, case):
-        check_term_stream(case[0])
+    @given(regular_orientations())
+    def test_neighbour_table_rows_match_the_graph(self, og):
+        g, s = og.graph, skew_adjacency(og)
+        k = g.regular_degree()
+        table = _neighbour_table(og, k)
+        assert all(col.shape == (og.n, k) and col.dtype == np.int64 for col in table)
+        nbr, edge, value = (col.tolist() for col in table)
+        for v in range(og.n):
+            assert nbr[v] == list(g.neighbors(v))
+            assert edge[v] == [g.edge_index(v, t) for t in g.neighbors(v)]
+            assert value[v] == [s[v, t] for t in g.neighbors(v)]
 
-    def test_dense_graphs_span_several_blocks(self):
-        k7 = complete(7)
-        og = OrientedGraph(k7, tuple((u * 3 + v) % 2 for u, v in k7.edges))
-        assert check_term_stream(og) > 1
-        assert check_term_stream(paley_with_source()) > 1
+    @given(regular_orientations())
+    def test_search_summands_are_the_column_terms(self, og):
+        g = og.graph
+        summands = _summands(g, g.regular_degree())
+        assert all(col.dtype == np.int64 for col in summands)
+        key, *rest = (col.tolist() for col in summands)
+        mine = sorted((*divmod(key_, g.n), *r) for key_, *r in zip(key, *rest))
+        assert mine == column_terms(OrientedGraph(g, (0,) * g.m))
 
     def test_term_bound_splits_blocks_between_rows(self, monkeypatch):
-        # Under a bound of 5 terms a block still holds whole rows, and a
-        # row of more terms is a block of its own.  The certificate and
-        # the search read the same terms and give the same answers.
+        # With one row i per certificate block, the certificate gives the
+        # same answers, and so does the search, which reads the same table.
         k7 = complete(7)
         paley = paley_with_source()
         certified = [
@@ -435,31 +452,22 @@ class TestGramTerms:
             )
 
         before = answers()
-        monkeypatch.setattr(spectra_module, "_BLOCK_TERMS", 5)
+        assert set(before[0]) == {True, False}
+        monkeypatch.setattr(spectra_module, "_CERT_TERMS", 1)
         assert answers() == before
-        own_block = 0
-        for og in certified:
-            check_term_stream(og)
-            for key, *_ in gram_terms(og):
-                rows = (key // og.n).tolist()
-                assert rows == sorted(rows)
-                if len(rows) > 5:
-                    assert len(set(rows)) == 1
-                    own_block += 1
-        assert own_block
 
 
 class TestSkewGram:
     def test_reads_no_term_stream(self, monkeypatch):
         # A non-bipartite orientation off the certificate takes the dense
         # route, the one reader of skew_gram.
-        def refuse(og):
-            raise AssertionError("skew_gram read the term stream")
+        def refuse(*args):
+            raise AssertionError("skew_gram read the neighbour table")
 
         og = OrientedGraph(complete(5), (0, 1, 1, 0, 0, 1, 0, 1, 1, 0))
         s = skew_adjacency(og)
         ref = direct_skew_spectrum(og)
-        monkeypatch.setattr(spectra_module, "gram_terms", refuse)
+        monkeypatch.setattr(spectra_module, "_neighbour_table", refuse)
         assert np.array_equal(skew_gram(og), s @ s.T)
         mine = skew_spectrum(og).values
         assert all(abs(a - b) < 1e-9 for a, b in zip(mine, ref))
@@ -483,6 +491,15 @@ class TestGramScalar:
         og = from_arcs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert is_gram_scalar(og, 2)
         assert not is_gram_scalar(og, 3)
+        # Any k equal to every degree, whatever its type, and any k at all
+        # on the graph with no vertices.
+        c4, p2 = seed_orientation("c4"), seed_orientation("p2")
+        assert is_gram_scalar(c4, 2.0) and is_gram_scalar(c4, np.int64(2))
+        assert not is_gram_scalar(c4, 2.5) and not is_gram_scalar(c4, True)
+        assert is_gram_scalar(p2, True)
+        assert is_gram_scalar(from_arcs(0, []), -1)
+        assert is_gram_scalar(from_arcs(3, []), 0)
+        assert not is_gram_scalar(from_arcs(3, []), 1)
 
     def test_requires_regular_when_k_omitted(self):
         with pytest.raises(NotRegularError):
@@ -513,7 +530,7 @@ class TestGramScalar:
         assert np.array_equal(skew_gram(og), s @ s.T)
 
     def test_paley_tournament_certified_across_row_blocks(self):
-        # 168 terms in several blocks of at most n^2 = 64.
+        # The Paley tournament plus its source is K_8: 8 rows of 7^2 terms.
         og = paley_with_source()
         assert is_gram_scalar(og, 7)
         assert np.array_equal(skew_gram(og), 7 * np.eye(8, dtype=np.int64))
