@@ -23,7 +23,20 @@ use as flat int lists: the search order, each vertex's parent, depth and
 parent edge, and the edges off the tree in the order the search first
 scans them.  :func:`parity_coloring`, the one two-colouring kernel,
 colours along it for any edge parity, so the canonical bipartition and
-every switching-equivalence test of a graph share one search.
+every switching-equivalence test of a graph share one search.  A
+bipartite graph caches two more things read for every orientation of it:
+where each edge sits in the half-order block of the skew matrix, and the
+fundamental cycles of its forest, each as its edge positions and the
+parity of direction bits that makes it uniformly oriented.  The spectra
+module keeps the magnitudes of ``|B|``, the positive half of the
+adjacency spectrum, on the graph as well.
+
+A graph of order below 128 from a list of fewer than ``_SHORT`` pairs is
+shared: parsing a file or calling :func:`from_arcs` returns the one
+graph of its ``(n, edges)`` among the last 32 such graphs used, so the
+work that depends only on the graph is done once for all its
+orientations within a process.  Every cached value depends on ``(n,
+edges)`` alone, so sharing changes no result.
 
 All types are immutable after construction and hashable.
 """
@@ -31,7 +44,7 @@ All types are immutable after construction and hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, KeysView, NamedTuple, Sequence
 
 import numpy as np
@@ -213,12 +226,32 @@ def _set_edges(g: Graph, edges: tuple, ends: np.ndarray | None) -> None:
         object.__setattr__(g, "_ends", ends)
 
 
+# Graphs of order below _SHARED_ORDER from short edge lists are shared,
+# the last _SHARED_GRAPHS of them.  With every cache filled, 32 graphs of
+# order 127 with 63 edges held 1.3 MiB under tracemalloc, most of it in
+# the incidence dicts.
+_SHARED_ORDER = 128
+_SHARED_GRAPHS = 32
+
+
 def _canonical_graph(n: int, edges: tuple, ends: np.ndarray | None) -> Graph:
-    # A graph from edges already checked and sorted by _sort_edges.
+    # A graph from edges already checked and sorted by _sort_edges; the
+    # shared one if its list was short and its order is small.
+    if ends is None and n < _SHARED_ORDER:
+        return _shared_graph(n, edges)
+    return _new_graph(n, edges, ends)
+
+
+def _new_graph(n: int, edges: tuple, ends: np.ndarray | None) -> Graph:
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     _set_edges(g, edges, ends)
     return g
+
+
+@lru_cache(maxsize=_SHARED_GRAPHS, typed=True)
+def _shared_graph(n: int, edges: tuple) -> Graph:
+    return _new_graph(n, edges, None)
 
 
 @dataclass(frozen=True)
@@ -273,6 +306,50 @@ class Graph:
         b = object.__new__(Bipartition)
         object.__setattr__(b, "side", side)
         return b, found
+
+    @cached_property
+    def _half_order(self) -> _HalfOrder:
+        # The block layout of a bipartite graph.
+        side = self._two_coloring[0].side
+        at, count = [], [0, 0]
+        for s in side:
+            at.append(count[s])
+            count[s] += 1
+        r = X if count[X] <= count[Y] else Y
+        rows, cols = count[r], count[1 - r]
+        index, sign = [], []
+        for u, v in self.edges:
+            if side[u] == r:
+                index.append(at[u] * cols + at[v])
+                sign.append(1)
+            else:
+                index.append(at[v] * cols + at[u])
+                sign.append(-1)
+        index = np.array(index, dtype=np.intp)
+        index.flags.writeable = False
+        return _HalfOrder(rows, cols, index, sign)
+
+    @cached_property
+    def _fundamental_cycles(self) -> list[tuple[list[int], int]]:
+        # For each edge off the forest of a bipartite graph, in the order
+        # the search first scans it, its fundamental cycle as
+        # _uniform_parity gives it, read off the forest: the walk runs
+        # from the near end a to the far end b, up the tree from b to the
+        # common ancestor, then down to a.  The ends' depths differ by 1,
+        # as the graph is bipartite.
+        f = self._forest
+        parent, edge = f.parent, f.edge
+        cycles = []
+        for i, a, b in zip(f.cut, f.near, f.far):
+            positions = [i, edge[b]]
+            down = (a > b) + (b > parent[b])
+            b = parent[b]
+            while a != b:
+                positions += (edge[a], edge[b])
+                down += (parent[a] > a) + (b > parent[b])
+                a, b = parent[a], parent[b]
+            cycles.append((positions, (len(positions) // 2 + down) % 2))
+        return cycles
 
     def neighbors(self, v: int) -> KeysView[int]:
         """Read-only ascending view of the neighbours of ``v``."""
@@ -440,6 +517,25 @@ class Bipartition:
         return tuple(v for v, s in enumerate(self.side) if s == Y)
 
 
+class _HalfOrder(NamedTuple):
+    """Where the edges of a bipartite graph sit in its half-order block.
+
+    In the order of the canonical bipartition S = [[0, B], [-B^T, 0]].
+    The block B has one row per vertex of the smaller side (X on a tie)
+    and one column per vertex of the other, each side ascending.
+    ``index`` holds each edge's flat position in the ``rows x cols``
+    block, in edge order, and ``sign`` the block's entry there for
+    direction bit 0: S[u, v] = 1 for the arc u -> v, and a row end v
+    reads S[v, u] = -1.  Bit 1 negates the entry, and ``|B|`` has 1
+    at every position.
+    """
+
+    rows: int
+    cols: int
+    index: np.ndarray
+    sign: list[int]
+
+
 class _Forest(NamedTuple):
     """A breadth-first spanning forest, as flat int sequences.
 
@@ -543,6 +639,23 @@ def _tree_cycle(u, w, parent, depth):
         pw.append(b)
     # pu ends at the common ancestor; pw's copy of it is dropped.
     return tuple(pu + pw[-2::-1])
+
+
+def _uniform_parity(g: Graph, vs: tuple[int, ...]) -> tuple[list[int], int]:
+    # The positions of the edges of the even cycle vs of g, in walk order,
+    # and the parity the direction bits on them sum to exactly when the
+    # cycle is uniformly oriented.  A cycle of length 2l is uniform when
+    # the number r of its arcs along the walk has l's parity.  Bit 0
+    # stores the arc u -> v of an edge (u, v) with u < v, so the arc runs
+    # along the step u -> v exactly when its bit equals (u > v), and r is
+    # the sum of the bits plus the number of steps down, mod 2.
+    inc = g._incidence
+    positions, down, u = [], 0, vs[-1]
+    for v in vs:
+        positions.append(inc[u][v])
+        down += u > v
+        u = v
+    return positions, (len(vs) // 2 + down) % 2
 
 
 def bipartition(g: Graph) -> Bipartition:

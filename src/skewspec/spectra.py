@@ -14,11 +14,14 @@ rounding.  A spectrum is found by one of three routes:
 - bipartite: in X/Y order S = [[0, B], [-B^T, 0]] and A = [[0, |B|],
   [|B|^T, 0]], so both spectra are +/- the singular values of one
   n_X x n_Y block, the square roots of the eigenvalues of a
-  min(n_X, n_Y) square gram, and the rest exact zeros.  The skew and
-  adjacency spectra of one orientation share the block layout and are
-  found by one stacked product and one eigensolve; a caller that only
-  compares them, as ``check`` does, compares the two lists of magnitudes
-  by the rule of :func:`spectra_equal` and builds neither spectrum.
+  min(n_X, n_Y) square gram, and the rest exact zeros.  The block layout
+  is cached on the graph.  The adjacency magnitudes depend on the graph
+  alone, so they are solved once per graph and kept on it: the first
+  time both spectra of an orientation are wanted, its block and |B| are
+  stacked into one product and one eigensolve, and after that only the
+  orientation's block is solved.  A caller that only compares them, as
+  ``check`` does, compares the two lists of magnitudes by the rule of
+  :func:`spectra_equal` and builds neither spectrum.
 - dense: any other graph solves n x n.  The eigenvalues of the symmetric
   positive semidefinite S S^T are the squared magnitudes, each nonzero one
   with even multiplicity, so adjacent square roots are averaged into one
@@ -45,9 +48,6 @@ import numpy as np
 
 from .errors import NotAntisymmetricError, NotRegularError, NotSymmetricError
 from .graph import (
-    X,
-    Y,
-    Bipartition,
     Graph,
     OrientedGraph,
     _require_dense_order,
@@ -115,9 +115,8 @@ def adjacency_spectrum(g: Graph) -> Spectrum:
     route, before allocating.
     """
     _require_dense_order(g.n)
-    b = g._two_coloring[0]
-    if b is not None:
-        return _half_order_spectrum(g, b, [None])[0]
+    if g._two_coloring[0] is not None:
+        return _from_magnitudes(_with_abs_magnitudes(g, [])[0], g.n)
     return symmetric_eigenvalues(adjacency_matrix(g))
 
 
@@ -207,39 +206,21 @@ def _magnitudes(grams: np.ndarray, n: int) -> list[list[float]]:
     return out
 
 
-def _half_order_magnitudes(
-    g: Graph, b: Bipartition, directions: list
-) -> list[list[float]]:
+def _half_order_magnitudes(g: Graph, directions: list) -> list[list[float]]:
     # In X/Y order S = [[0, B], [-B^T, 0]], so its magnitudes are the
     # singular values of B, the square roots of the eigenvalues of B B^T.
     # The block is built with the smaller side as its rows, so the gram
     # is min(n_X, n_Y) square.  One descending list of min(n_X, n_Y)
     # magnitudes per entry of ``directions``: a direction vector gives
     # B's signs from its bits, and None gives |B|, whose singular values
-    # are the adjacency spectrum's positive half.  The layout is found
-    # once and the blocks are stacked, so every list comes from one
+    # are the adjacency spectrum's positive half.  The blocks share the
+    # graph's layout and are stacked, so every list comes from one
     # product and one eigensolve.
-    side = b.side
-    at, count = [], [0, 0]
-    for s in side:
-        at.append(count[s])
-        count[s] += 1
-    r = X if count[X] <= count[Y] else Y
-    rows, cols = count[r], count[1 - r]
-    # S[u, v] is 1 for bit 0 (the arc u -> v) and -1 for bit 1, and a row
-    # end v reads S[v, u] = -S[u, v]; |B| has neither sign.
-    index, flip = [], []
-    for u, v in g.edges:
-        if side[u] == r:
-            index.append(at[u] * cols + at[v])
-            flip.append(1)
-        else:
-            index.append(at[v] * cols + at[u])
-            flip.append(-1)
+    rows, cols, index, sign = g._half_order
     blocks = np.zeros((len(directions), rows, cols))
     for block, direction in zip(blocks, directions):
         block.reshape(-1)[index] = (
-            1 if direction is None else [-f if d else f for f, d in zip(flip, direction)]
+            1 if direction is None else [-s if d else s for s, d in zip(sign, direction)]
         )
     # Integer entries and sums below 2^53, so the float product is exact.
     grams = blocks @ blocks.transpose(0, 2, 1)
@@ -248,12 +229,18 @@ def _half_order_magnitudes(
     return _magnitudes(grams, g.n)
 
 
-def _half_order_spectrum(g: Graph, b: Bipartition, directions: list) -> list[Spectrum]:
-    # The spectra of _half_order_magnitudes: each list of magnitudes,
-    # then exact zeros, then the magnitudes negated.
-    return [
-        _from_magnitudes(mags, g.n) for mags in _half_order_magnitudes(g, b, directions)
-    ]
+def _with_abs_magnitudes(g: Graph, directions: list) -> list:
+    # The magnitudes of _half_order_magnitudes for ``directions``, then
+    # those of |B|.  |B| depends on g alone: the first time, it is stacked
+    # with the directions' blocks into their one eigensolve and kept on g;
+    # after that it is read from g, and no solve runs for it.
+    kept = vars(g).get("_abs_magnitudes")
+    if kept is None:
+        *mags, kept = _half_order_magnitudes(g, directions + [None])
+        kept = tuple(kept)
+        object.__setattr__(g, "_abs_magnitudes", kept)
+        return mags + [kept]
+    return (_half_order_magnitudes(g, directions) if directions else []) + [kept]
 
 
 def skew_spectrum(og: OrientedGraph) -> Spectrum:
@@ -275,9 +262,8 @@ def skew_spectrum(og: OrientedGraph) -> Spectrum:
     """
     n = og.n
     _require_dense_order(n)
-    b = og.graph._two_coloring[0]
-    if b is not None:
-        return _half_order_spectrum(og.graph, b, [og.direction])[0]
+    if og.graph._two_coloring[0] is not None:
+        return _from_magnitudes(_half_order_magnitudes(og.graph, [og.direction])[0], n)
     gram = skew_gram(og).astype(np.float64)
     return paired_spectrum(_magnitudes(gram[None], n)[0], n)
 

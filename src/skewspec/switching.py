@@ -20,9 +20,13 @@ uniformly oriented exactly when an even number of its arcs run against
 the elementary orientation.  That parity adds over the cycle space, and
 a chord splits a cycle into two cycles that sum to it, so every
 chordless cycle is uniform exactly when every fundamental cycle of a
-spanning forest is.  Only :func:`chordless_cycles`, the explicit
+spanning forest is.  Each graph caches its fundamental cycles as edge
+positions and a parity, so the test of one orientation is one sum of
+direction bits per cycle.  Only :func:`chordless_cycles`, the explicit
 enumeration, has a cap.  The spectral predicate compares the two
-half-order magnitude lists and builds no spectrum.
+half-order magnitude lists and builds no spectrum; the adjacency list
+is solved once per graph and kept on it, so an orientation of a graph
+seen before costs one half-order eigensolve.
 """
 
 from __future__ import annotations
@@ -41,11 +45,11 @@ from .graph import (
     Graph,
     OrientedGraph,
     _require_dense_order,
-    _tree_cycle,
+    _uniform_parity,
     bipartition,
     parity_coloring,
 )
-from .spectra import _close, _half_order_magnitudes
+from .spectra import _close, _with_abs_magnitudes
 
 #: Default ceiling on the number of chordless cycles enumerated.
 DEFAULT_CYCLE_CAP = 10**6
@@ -194,17 +198,10 @@ def _validate_cycle(g: Graph, c: CycleWalk) -> None:
             raise NotACycleError(f"({u}, {v}) is not an edge")
 
 
-def _uniform(og: OrientedGraph, vs: tuple[int, ...]) -> bool:
-    # The parity rule of is_uniformly_oriented for a walk already known to
-    # be an even cycle of og.  Bit 0 stores the arc u -> v of an edge
-    # (u, v) with u < v, so the arc runs along the step u -> v exactly
-    # when its bit equals (u > v).
-    inc, bits = og.graph._incidence, og.direction
-    r, u = 0, vs[-1]
-    for v in vs:
-        r += bits[inc[u][v]] == (u > v)
-        u = v
-    return r % 2 == len(vs) // 2 % 2
+def _uniform(bits: tuple[int, ...], positions: list[int], parity: int) -> bool:
+    # The parity rule of is_uniformly_oriented, for a cycle given by
+    # _uniform_parity.
+    return sum(map(bits.__getitem__, positions)) % 2 == parity
 
 
 def is_uniformly_oriented(og: OrientedGraph, c: CycleWalk) -> bool:
@@ -219,7 +216,7 @@ def is_uniformly_oriented(og: OrientedGraph, c: CycleWalk) -> bool:
     _validate_cycle(og.graph, c)
     if len(c) % 2:
         raise OddCycleError(f"cycle length {len(c)} is odd")
-    return _uniform(og, c.vertices)
+    return _uniform(og.direction, *_uniform_parity(og.graph, c.vertices))
 
 
 def all_chordless_uniform(og: OrientedGraph) -> bool:
@@ -231,15 +228,12 @@ def all_chordless_uniform(og: OrientedGraph) -> bool:
     forest: its fundamental cycle, the edge joined to the tree paths from
     its ends to their lowest common ancestor.  Those cycles span the
     cycle space, on which uniformity is a parity (see the module
-    docstring).
+    docstring).  The cycles are found once per graph and cached on it.
     """
     g = og.graph
     bipartition(g)
-    f = g._forest
-    return all(
-        _uniform(og, _tree_cycle(u, w, f.parent, f.depth))
-        for u, w in zip(f.near, f.far)
-    )
+    bits = og.direction
+    return all(_uniform(bits, *cycle) for cycle in g._fundamental_cycles)
 
 
 def matches_adjacency_spectrum(og: OrientedGraph, tol: float = 1e-8) -> bool:
@@ -253,9 +247,9 @@ def matches_adjacency_spectrum(og: OrientedGraph, tol: float = 1e-8) -> bool:
     magnitudes, then the same number of exact zeros, then the magnitudes
     negated, and a negated pair differs by exactly what the pair does.
     """
-    b = bipartition(og.graph)
+    bipartition(og.graph)
     _require_dense_order(og.n)
-    skew, adjacency = _half_order_magnitudes(og.graph, b, [og.direction, None])
+    skew, adjacency = _with_abs_magnitudes(og.graph, [og.direction])
     # The zeros agree exactly, so they pass unless tol is below 0 (or NaN).
     return _close(skew, adjacency, tol) and (og.n == 2 * len(skew) or 0.0 <= tol)
 

@@ -23,3 +23,13 @@ def rng():
 @pytest.fixture
 def data_dir():
     return DATA_DIR
+
+
+@pytest.fixture(autouse=True)
+def cold_graphs():
+    # Short parsed graphs are shared within a process, with what they have
+    # cached; each test starts with none, so counts of forests and
+    # eigensolves do not depend on the tests run before it.
+    from skewspec.graph import _shared_graph
+
+    _shared_graph.cache_clear()

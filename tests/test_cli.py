@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 from itertools import combinations
@@ -18,6 +20,7 @@ import skewspec.switching as switching_module
 from skewspec import (
     SkewspecError,
     complete,
+    cycle,
     elementary_orientation,
     from_arcs,
     hypercube,
@@ -44,6 +47,26 @@ def invoke(capsys, *argv):
     out = capsys.readouterr()
     doc = json.loads(out.out) if out.out else None
     return code, doc, out.err
+
+
+def count_work(monkeypatch):
+    # Lists that fill with each breadth-first forest built, the shape of
+    # each eigensolve's stack, and each Spectrum and OrientedGraph made
+    # through its constructor.
+    forests, solves, built = [], [], []
+    bfs, eigvalsh = graph_module._bfs_forest, np.linalg.eigvalsh
+    monkeypatch.setattr(
+        graph_module, "_bfs_forest", lambda g: forests.append(g) or bfs(g)
+    )
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a)
+    )
+    for cls in (spectra_module.Spectrum, graph_module.OrientedGraph):
+        monkeypatch.setattr(
+            cls, "__post_init__",
+            lambda self, init=cls.__post_init__: built.append(self) or init(self),
+        )
+    return forests, solves, built
 
 
 class TestSpectrum:
@@ -118,19 +141,7 @@ class TestCheck:
         # spectra come from one stacked solve of two half-order grams.
         # Only magnitudes are compared and the elementary orientation is
         # never built, so no Spectrum and no OrientedGraph is made.
-        forests, solves, built = [], [], []
-        bfs, eigvalsh = graph_module._bfs_forest, np.linalg.eigvalsh
-        monkeypatch.setattr(
-            graph_module, "_bfs_forest", lambda g: forests.append(g) or bfs(g)
-        )
-        monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a)
-        )
-        for cls in (spectra_module.Spectrum, graph_module.OrientedGraph):
-            monkeypatch.setattr(
-                cls, "__post_init__",
-                lambda self, init=cls.__post_init__: built.append(self) or init(self),
-            )
+        forests, solves, built = count_work(monkeypatch)
         code, doc, _ = invoke(capsys, "check", str(DATA_DIR / name))
         assert doc["consistent"] is True and code == (1 if "non" in name else 0)
         assert len(forests) == 1
@@ -189,6 +200,108 @@ class TestCheck:
         assert doc["spectral_match"] is False
         assert doc["all_chordless_uniform"] is False
         assert doc["equivalent_to_elementary"] is False
+
+
+def write_orientation(path, g, bits) -> str:
+    path.write_text(serialize_graph(graph_module.OrientedGraph(g, tuple(bits))))
+    return str(path)
+
+
+class TestSharedGraphs:
+    # A short parsed graph is shared within a process, and its forest,
+    # half-order layout, fundamental cycles and adjacency magnitudes are
+    # kept on it, so only the work of the orientation is done again.
+    Q3 = str(DATA_DIR / "q3_elementary.og")
+
+    def test_warm_check_builds_no_forest_and_solves_one_block(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        other = write_orientation(tmp_path / "q3.og", hypercube(3), [1] + [0] * 11)
+        invoke(capsys, "check", self.Q3)
+        forests, solves, built = count_work(monkeypatch)
+        code, doc, _ = invoke(capsys, "check", other)
+        assert doc["consistent"] is True and code == 1
+        assert forests == []
+        assert solves == [(1, 4, 4)]
+        assert built == []
+
+    def test_warm_equiv_builds_no_forest(self, capsys, monkeypatch, tmp_path):
+        other = write_orientation(tmp_path / "q3.og", hypercube(3), [1] + [0] * 11)
+        invoke(capsys, "check", self.Q3)
+        invoke(capsys, "check", other)
+        forests, _, _ = count_work(monkeypatch)
+        code, doc, _ = invoke(capsys, "equiv", self.Q3, other)
+        assert code == 1 and doc["equivalent"] is False
+        assert forests == []
+
+    def test_warm_adjacency_spectrum_solves_nothing(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # The magnitudes kept from check's stacked solve print the same
+        # spectrum as the cold single solve of |B|.
+        ug = tmp_path / "q3.ug"
+        ug.write_text(serialize_graph(hypercube(3)))
+        run(["spectrum", "--adjacency", str(ug)])
+        cold = capsys.readouterr().out
+        graph_module._shared_graph.cache_clear()
+        invoke(capsys, "check", self.Q3)
+        _, solves, _ = count_work(monkeypatch)
+        run(["spectrum", "--adjacency", str(ug)])
+        assert capsys.readouterr().out == cold
+        assert solves == []
+
+    def test_every_q3_orientation_reads_the_same_warm_and_cold(self, tmp_path):
+        # All 4096 orientations of Q3, with other graphs between them:
+        # three more bipartite ones, a triangle (an input error for
+        # check) and, now and then, one more even cycle than the cache
+        # holds, so Q3's graph is evicted and parsed again.  Every exit
+        # code, report and error line is the same with the shared graphs
+        # kept as with them cleared before each call, at the default
+        # tolerance and at 0 and 1.
+        q3 = hypercube(3)
+        triangle = tmp_path / "k3.og"
+        triangle.write_text("og 3 3\na 0 1\na 1 2\na 2 0\n")
+        others = [C8_NONUNIFORM, str(DATA_DIR / "k23_elementary.og"), C6_R2, str(triangle)]
+        cap = graph_module._SHARED_GRAPHS
+        evict = [tmp_path / f"c{k}.og" for k in range(2, 3 + cap)]
+        for k, path in enumerate(evict, 2):
+            path.write_text(serialize_graph(elementary_orientation(cycle(2 * k))))
+        argvs, plain = [], set()
+        for i in range(4096):
+            path = write_orientation(
+                tmp_path / f"{i:04d}.og", q3, [(i >> j) & 1 for j in range(12)]
+            )
+            plain.add((path,))
+            argvs.append(("check", path))
+            if i % 256 == 255:
+                argvs += [("check", path, "--tol", "0"), ("check", path, "--tol", "1")]
+                argvs += [("check", p) for p in others]
+            if i % 1024 == 1000:
+                argvs += [("check", str(p)) for p in evict]
+
+        def sweep(cold):
+            seen = []
+            for argv in argvs:
+                if cold:
+                    graph_module._shared_graph.cache_clear()
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run(argv)
+                seen.append((code, out.getvalue(), err.getvalue()))
+            return seen
+
+        warm = sweep(False)
+        info = graph_module._shared_graph.cache_info()
+        assert info.hits > 4000
+        # More graphs went in than fit, so some were evicted.
+        assert info.misses > info.maxsize == info.currsize
+        assert warm == sweep(True)
+        codes = [code for (code, _, _), argv in zip(warm, argvs) if argv[1:] in plain]
+        assert (codes.count(0), codes.count(1)) == (128, 4096 - 128)
+        # The triangle is refused with the same one error line each time.
+        refused = {err for code, _, err in warm if code == 2}
+        assert [code for code, _, _ in warm].count(2) == 16
+        assert len(refused) == 1 and refused.pop().startswith("error: graph is not bipartite")
 
 
 class TestInconsistentRoutes:

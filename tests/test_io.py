@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import skewspec.graph as graph_module
 from skewspec import (
     VERTEX_CAP,
     Graph,
@@ -220,6 +221,37 @@ class TestAgainstReference:
                 parse_graph(f"# big\nog {n} 0\n")
             assert exc.value.line == 2
             assert exc.value.reason == f"vertex count {n} is over the cap of {VERTEX_CAP}"
+
+
+class TestSharedGraphs:
+    # Short graphs of small order are shared within a process, in a cache
+    # of fixed size.
+    def test_cache_holds_at_most_its_cap(self):
+        shared = graph_module._shared_graph
+        cap = graph_module._SHARED_GRAPHS
+        first = parse_graph("og 4 4\na 0 1\na 1 2\na 2 3\na 3 0\n")
+        assert parse_graph("ug 4 4\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n") is first.graph
+        for k in range(3, cap + 13):
+            parse_graph(serialize_graph(cycle(k)))
+            assert shared.cache_info().currsize <= cap
+        assert shared.cache_info().currsize == cap
+        # C4 was used longest ago, so it has been evicted.
+        assert parse_graph(serialize_graph(cycle(4))) is not first.graph
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "og 262144 0\n",
+            "og 200000 3\na 0 1\na 5 199999\na 3 2\n",
+            serialize_graph(from_arcs(65, [(i, i + 1) for i in range(64)])),
+        ],
+        ids=["edgeless-at-cap", "large-order", "64-edges"],
+    )
+    def test_large_graphs_are_not_shared(self, text):
+        g = parse_graph(text).graph
+        assert graph_module._shared_graph.cache_info().currsize == 0
+        assert parse_graph(text).graph is not g
+        assert parse_graph(text).graph == g
 
 
 class TestRoundTrip:
